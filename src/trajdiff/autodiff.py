@@ -22,7 +22,7 @@ __all__ = [
     "concat", "slice_axis", "gather_rows", "broadcast_rows",
     "reduce_sum", "reduce_mean",
     "square", "sqrt", "exp", "log", "tanh", "sigmoid", "leaky_relu",
-    "softmax",
+    "softmax", "sigmoid_values", "leaky_relu_values", "softmax_values",
     "backward", "zero_grad", "Adam",
 ]
 
@@ -346,11 +346,32 @@ def tanh(a: Node) -> Node:
 
 
 def sigmoid(a: Node) -> Node:
-    out = _sigmoid_stable(a.value)
+    out = sigmoid_values(a.value)
     return _node("sigmoid", out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
-def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
+def leaky_relu(a: Node, slope: float = 0.01) -> Node:
+    out = leaky_relu_values(a.value, slope)
+    return _node("leaky_relu", out, (a,),
+                 (lambda g: g * np.where(a.value > 0, 1.0, slope),))
+
+
+def softmax(a: Node) -> Node:
+    """Softmax over the last axis, computed with a max shift for stability."""
+    out = softmax_values(a.value)
+
+    def vjp(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return out * (g - dot)
+
+    return _node("softmax", out, (a,), (vjp,))
+
+
+# ---------------------------------------------------------------------------
+# activation kernels on plain arrays, shared with the graph-free forwards in
+# encoder, scoring and diffusion so both paths compute identical values
+
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
     # Exponentiate only non-positive arguments so large |x| cannot overflow.
     out = np.empty_like(x)
     pos = x >= 0
@@ -360,24 +381,18 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def leaky_relu(a: Node, slope: float = 0.01) -> Node:
-    out = np.where(a.value > 0, a.value, slope * a.value)
-    return _node("leaky_relu", out, (a,),
-                 (lambda g: g * np.where(a.value > 0, 1.0, slope),))
+def leaky_relu_values(x: np.ndarray, slope: float = 0.01, out=None) -> np.ndarray:
+    """max(x, slope*x): equals where(x > 0, x, slope*x) for 0 < slope <= 1,
+    signed zeros, infinities and NaN included.  ``out`` may alias ``x``."""
+    return np.maximum(x, slope * x, out=out)
 
 
-def softmax(a: Node) -> Node:
-    """Softmax over the last axis, computed with a max shift for stability."""
-    x = a.value
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return out * (g - dot)
-
-    return _node("softmax", out, (a,), (vjp,))
+def softmax_values(x: np.ndarray, out=None) -> np.ndarray:
+    """Max-shifted softmax over the last axis.  ``out`` may alias ``x``."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -257,8 +257,7 @@ def cmd_predict(args):
         traj = min(corpus.trajectories, key=lambda t: t.id)
     seed = args.seed if args.seed is not None else 0
     f = enc_mod.encode(traj.history, traj.neighbors, bundle.encoder)
-    conds = np.broadcast_to(np.concatenate([f, np.array(args.c)]),
-                            (args.n_s, f.size + den.n_scores)).copy()
+    conds = diffusion.conditions(f, args.c, args.n_s)
     origins = np.broadcast_to(traj.history[-1], (args.n_s, 2)).copy()
     rng = np.random.default_rng(seed)
     futures = diffusion.sample_batch(conds, bundle.schedule, den, rng,

@@ -453,26 +453,41 @@ def save_corpus(corpus, path):
             fh.write(json.dumps(rec) + "\n")
 
 
+def _bad_field(exc):
+    """Short reason for a record that failed to parse into arrays."""
+    if isinstance(exc, KeyError):
+        return f"missing field {exc}"
+    return str(exc)
+
+
 def load_corpus(path):
     with open(path) as fh:
         first = fh.readline()
         if not first.strip():
             raise DataError(f"{path}: empty corpus file")
         header = _json_line(first, 1, path)
-        if header.get("kind") != "corpus":
+        if not isinstance(header, dict) or header.get("kind") != "corpus":
             raise DataError(f"{path}: not a corpus file")
         meta = {k: v for k, v in header.items() if k not in ("kind", "version")}
-        dt = float(meta["dt"])
+        try:
+            int(meta["n"]), int(meta["m"])   # Corpus.n and .m convert on access
+            dt = float(meta["dt"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: line 1: bad header: {_bad_field(exc)}") from None
         trajs = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             rec = _json_line(line, lineno, path)
-            trajs.append(Trajectory(int(rec["id"]),
-                                    np.array(rec["history"], dtype=float),
-                                    np.array(rec["future"], dtype=float),
-                                    [np.array(q, dtype=float) for q in rec["neighbors"]],
-                                    dt))
+            try:
+                trajs.append(Trajectory(int(rec["id"]),
+                                        np.array(rec["history"], dtype=float),
+                                        np.array(rec["future"], dtype=float),
+                                        [np.array(q, dtype=float) for q in rec["neighbors"]],
+                                        dt))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}: line {lineno}: bad record: "
+                                f"{_bad_field(exc)}") from None
     corpus = Corpus(trajs, meta)
     validate_corpus(corpus)
     return corpus

@@ -72,16 +72,6 @@ def noise_to_t(y0, t, schedule, eps):
 # denoiser
 
 @dataclass
-class Condition:
-    f: np.ndarray
-    scores: np.ndarray
-
-    def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=float)
-        self.scores = np.atleast_1d(np.asarray(self.scores, dtype=float))
-
-
-@dataclass
 class DenoiserParams:
     m: int
     feature_dim: int
@@ -170,23 +160,31 @@ def _ffn(x, params, block):
     return _linear3(h, params, f"den.b{block}.f2")
 
 
-def denoise_batch(y_t, cond_arr, ts, params):
-    """Predict the noise for a batch: y_t (B,m,2), cond (B, F+S), ts (B,).
-
-    cond_arr may be a plain array (frozen conditions) or a graph node when
-    the encoder is being trained through the denoiser.
-    """
+def _check_inputs(y_t, cond_shape, params):
     y_t = np.asarray(y_t, dtype=float)
     b, m, _ = y_t.shape
     if m != params.m:
         raise ad.ShapeError(f"denoise: {m} future steps, model expects {params.m}")
-    ts = np.asarray(ts, dtype=int)
+    want = params.feature_dim + params.n_scores
+    if cond_shape != (b, want):
+        raise ad.ShapeError(f"denoise: condition shape {cond_shape}, "
+                            f"expected ({b}, {want})")
+    return y_t
+
+
+def denoise_batch(y_t, cond_arr, ts, params):
+    """Predict the noise for a batch: y_t (B,m,2), cond (B, F+S), ts (B,).
+
+    cond_arr may be a plain array (frozen conditions) or a graph node when
+    the encoder is being trained through the denoiser.  This is the
+    training path and the reference that :func:`_denoise` reproduces.
+    """
     if not isinstance(cond_arr, ad.Node):
         cond_arr = ad.constant(np.asarray(cond_arr, dtype=float))
+    y_t = _check_inputs(y_t, cond_arr.value.shape, params)
+    b, m, _ = y_t.shape
+    ts = np.asarray(ts, dtype=int)
     want = params.feature_dim + params.n_scores
-    if cond_arr.value.shape != (b, want):
-        raise ad.ShapeError(f"denoise: condition shape {cond_arr.value.shape}, "
-                            f"expected ({b}, {want})")
 
     cond_proj = ad.add(ad.matmul(cond_arr, params.weights["den.cond.w"]),
                        params.weights["den.cond.b"])
@@ -207,15 +205,77 @@ def denoise_batch(y_t, cond_arr, ts, params):
     return _linear3(_layer_norm(x, ones_row), params, "den.out")
 
 
-def denoise_predict(y_t, cond, t, params):
-    """Single-trajectory noise prediction, in model units."""
-    if cond.scores.shape != (params.n_scores,):
-        raise ad.ShapeError(f"denoise: {cond.scores.size} scores, "
-                            f"model expects {params.n_scores}")
-    arr = np.concatenate([cond.f, cond.scores])[None]
-    out = denoise_batch(np.asarray(y_t, dtype=float)[None], arr,
-                        np.array([t]), params)
-    return out.value[0].copy()
+# ---------------------------------------------------------------------------
+# graph-free forward: the numpy kernels of denoise_batch in the same order,
+# without the graph, so the output is bit-identical to denoise_batch(...).value
+
+def _affine(x, w, name):
+    out = x @ w[f"{name}.w"].value
+    out += w[f"{name}.b"].value
+    return out
+
+
+def _layer_norm_values(x):
+    # broadcasting gives the same values as _layer_norm's products with a
+    # ones row, which are exact
+    cent = x - x.mean(axis=2, keepdims=True)
+    var = (cent * cent).mean(axis=2, keepdims=True)
+    var += 1e-6
+    cent /= np.sqrt(var)
+    return cent
+
+
+def _attention_values(x, w, block, heads):
+    b, m, width = x.shape
+    hd = width // heads
+
+    def per_head(name, axes):
+        # (B, m, W) -> contiguous (B, H, ., .): a strided operand would send
+        # matmul down a different kernel and change the last bits
+        out = _affine(x, w, f"den.b{block}.{name}").reshape(b, m, heads, hd)
+        return np.ascontiguousarray(out.transpose(axes))
+
+    q = per_head("q", (0, 2, 1, 3))
+    k_t = per_head("k", (0, 2, 3, 1))
+    v = per_head("v", (0, 2, 1, 3))
+    att = q @ k_t
+    att *= 1.0 / math.sqrt(hd)
+    ad.softmax_values(att, out=att)
+    mixed = (att @ v).transpose(0, 2, 1, 3).reshape(b, m, width)
+    return _affine(mixed, w, f"den.b{block}.o")
+
+
+def _denoise(y_t, cond, ts, params):
+    """Noise prediction on plain arrays: y_t (B,m,2), cond (B, F+S), ts (B,).
+
+    Bit-identical to ``denoise_batch(y_t, cond, ts, params).value``; checks
+    finiteness once, on the output, and raises ``ad.NumericsError``.
+    """
+    cond = np.ascontiguousarray(cond, dtype=float)
+    y_t = _check_inputs(y_t, cond.shape, params)
+    b, m, _ = y_t.shape
+    w = params.weights
+    cond_proj = _affine(cond, w, "den.cond")
+    temb = params.time_table[np.asarray(ts, dtype=int)]
+    tokens = np.concatenate([
+        y_t,
+        np.broadcast_to(temb[:, None, :], (b, m, params.time_dim)),
+        np.broadcast_to(cond_proj[:, None, :], (b, m, params.cond_dim)),
+        np.broadcast_to(cond[:, None, params.feature_dim:], (b, m, params.n_scores)),
+        np.broadcast_to(params.pos_table[None], (b, m, params.pos_dim)),
+    ], axis=2)
+    with np.errstate(all="ignore"):
+        x = _affine(tokens, w, "den.in")
+        for i in range(params.depth):
+            x += _attention_values(_layer_norm_values(x), w, i, params.heads)
+            h = _affine(_layer_norm_values(x), w, f"den.b{i}.f1")
+            ad.leaky_relu_values(h, out=h)
+            x += _affine(h, w, f"den.b{i}.f2")
+        out = _affine(_layer_norm_values(x), w, "den.out")
+    if not np.isfinite(out.sum()):
+        raise ad.NumericsError(f"denoiser produced non-finite values "
+                               f"(shape {out.shape})")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +304,7 @@ def _frozen_features(trajs, enc_params, chunk=256):
         part = trajs[lo:lo + chunk]
         hists = np.stack([t.history for t in part])
         nbrs = [t.neighbors for t in part]
-        out.append(enc_mod.encode_batch(hists, nbrs, enc_params).value)
+        out.append(enc_mod.features(hists, nbrs, enc_params))
     return np.concatenate(out, axis=0)
 
 
@@ -329,11 +389,26 @@ def train_diffusion(corpus, scores, enc_params, schedule, config, denoiser=None)
 # ---------------------------------------------------------------------------
 # sampling
 
+def conditions(feats, scores, n_s):
+    """Condition rows for sampling: n_s draws per (feature, score vector).
+
+    feats (H, F) history features and scores (G, S) score vectors give
+    H * G * n_s rows [feats[h], scores[g]], ordered by history, then score
+    vector, then draw.
+    """
+    feats = np.atleast_2d(np.asarray(feats, dtype=float))
+    scores = np.atleast_2d(np.asarray(scores, dtype=float))
+    per_history = len(scores) * n_s
+    return np.concatenate([np.repeat(feats, per_history, axis=0),
+                           np.tile(np.repeat(scores, n_s, axis=0), (len(feats), 1))],
+                          axis=1)
+
+
 def _reverse_chain(y, cond_arr, schedule, params, mode, draw_noise):
     """Shared reverse loop; draw_noise(b, m) supplies the ancestral noise."""
     b = cond_arr.shape[0]
     for t in range(schedule.T, 0, -1):
-        eps_hat = denoise_batch(y, cond_arr, np.full(b, t), params).value
+        eps_hat = _denoise(y, cond_arr, np.full(b, t), params)
         beta = schedule.beta[t - 1]
         ab = schedule.alpha_bar[t - 1]
         y = (y - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(schedule.alpha[t - 1])
@@ -342,14 +417,18 @@ def _reverse_chain(y, cond_arr, schedule, params, mode, draw_noise):
     return y
 
 
+def _check_mode(mode):
+    if mode not in ("ancestral", "paper-mean"):
+        raise ValueError(f"unknown sampling mode '{mode}'")
+
+
 def sample_batch(cond_arr, schedule, params, rng, mode="ancestral", origins=None):
     """Reverse process for B conditions at once; returns (B, m, 2) in meters.
 
     mode "paper-mean" applies the deterministic mean update only; mode
     "ancestral" adds sqrt(beta_t) noise for every step except the last.
     """
-    if mode not in ("ancestral", "paper-mean"):
-        raise ValueError(f"unknown sampling mode '{mode}'")
+    _check_mode(mode)
     cond_arr = np.asarray(cond_arr, dtype=float)
     y = rng.standard_normal((cond_arr.shape[0], params.m, 2))
     y = _reverse_chain(y, cond_arr, schedule, params, mode,
@@ -358,16 +437,6 @@ def sample_batch(cond_arr, schedule, params, rng, mode="ancestral", origins=None
     if origins is not None:
         out = out + np.asarray(origins, dtype=float)[:, None, :]
     return out
-
-
-def sample(cond, schedule, params, rng, mode="ancestral", origin=(0.0, 0.0)):
-    """One future for one condition; translated to the given world origin."""
-    if cond.scores.shape != (params.n_scores,):
-        raise ad.ShapeError(f"sample: {cond.scores.size} scores, "
-                            f"model expects {params.n_scores}")
-    arr = np.concatenate([cond.f, cond.scores])[None]
-    origins = np.asarray(origin, dtype=float)[None]
-    return sample_batch(arr, schedule, params, rng, mode, origins)[0]
 
 
 def predict_best_of(history, neighbors, enc_params, schedule, params,
@@ -381,8 +450,7 @@ def predict_best_of(history, neighbors, enc_params, schedule, params,
     """
     if n_c < 1 or n_s < 1:
         raise ValueError("predict_best_of: need n_c >= 1 and n_s >= 1")
-    if mode not in ("ancestral", "paper-mean"):
-        raise ValueError(f"unknown sampling mode '{mode}'")
+    _check_mode(mode)
     f = enc_mod.encode(history, neighbors, enc_params)
     origin = np.asarray(history, dtype=float)[-1]
     grid = (np.arange(n_c) + 0.5) / n_c
@@ -390,10 +458,7 @@ def predict_best_of(history, neighbors, enc_params, schedule, params,
     # keeps its own noise stream so its draws do not depend on n_c
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, ci)))
             for ci in range(n_c)]
-    conds = np.concatenate([
-        np.broadcast_to(np.concatenate([f, np.full(params.n_scores, c)]),
-                        (n_s, f.size + params.n_scores))
-        for c in grid], axis=0)
+    conds = conditions(f, np.repeat(grid[:, None], params.n_scores, axis=1), n_s)
     m = params.m
 
     def draw_noise(b, _):

@@ -81,25 +81,23 @@ def _canonical_neighbor_order(rels):
     return sorted(range(len(rels)), key=lambda k: rels[k].tobytes())
 
 
-def encode_batch(histories, neighbor_lists, params):
-    """Encode B histories (B, n, 2) with per-sample neighbor lists.
-
-    Returns a differentiable (B, d_e + d_n) node.  Neighbour tracks are
-    expressed as per-step offsets from the ego track, so the whole feature
-    is unchanged by translating a scene.
-    """
+def _check_histories(histories, neighbor_lists, params):
     histories = np.asarray(histories, dtype=float)
     if histories.ndim != 3 or histories.shape[1] != params.n or histories.shape[2] != 2:
         raise ad.ShapeError(f"encode: histories shape {histories.shape}, "
                             f"expected (B, {params.n}, 2)")
     if len(neighbor_lists) != histories.shape[0]:
         raise ad.ShapeError("encode: one neighbor list per history required")
-    w = params.weights
-    bsz = histories.shape[0]
+    return histories
 
-    h_ego = _gru_sequence(_ego_inputs(histories, params.dt),
-                          w["enc.ego.wx"], w["enc.ego.wh"], w["enc.ego.b"], params.d_e)
 
+def _neighbor_layout(histories, neighbor_lists, params):
+    """Stack every neighbour track (canonical order within each history).
+
+    Returns (seqs, mix): seqs (N, n, 2) offsets from the ego track, or None
+    without neighbours, and the (B, N) averaging matrix that mean-pools each
+    history's neighbour summaries.
+    """
     flat, weights_rows = [], []
     for i, nbrs in enumerate(neighbor_lists):
         rels = []
@@ -112,18 +110,70 @@ def encode_batch(histories, neighbor_lists, params):
         for k in _canonical_neighbor_order(rels):
             flat.append(rels[k])
             weights_rows.append(i)
-    if flat:
-        seqs = np.stack(flat)
+    if not flat:
+        return None, None
+    bsz = histories.shape[0]
+    mix = np.zeros((bsz, len(flat)))
+    counts = np.bincount(weights_rows, minlength=bsz)
+    for j, i in enumerate(weights_rows):
+        mix[i, j] = 1.0 / counts[i]
+    return np.stack(flat), mix
+
+
+def encode_batch(histories, neighbor_lists, params):
+    """Encode B histories (B, n, 2) with per-sample neighbor lists.
+
+    Returns a differentiable (B, d_e + d_n) node.  Neighbour tracks are
+    expressed as per-step offsets from the ego track, so the whole feature
+    is unchanged by translating a scene.  This is the training path and the
+    reference that :func:`features` reproduces bit for bit.
+    """
+    histories = _check_histories(histories, neighbor_lists, params)
+    w = params.weights
+    bsz = histories.shape[0]
+
+    h_ego = _gru_sequence(_ego_inputs(histories, params.dt),
+                          w["enc.ego.wx"], w["enc.ego.wh"], w["enc.ego.b"], params.d_e)
+    seqs, mix = _neighbor_layout(histories, neighbor_lists, params)
+    if seqs is not None:
         h_edge = _gru_sequence(seqs, w["enc.edge.wx"], w["enc.edge.wh"],
                                w["enc.edge.b"], params.d_n)
-        mix = np.zeros((bsz, len(flat)))
-        counts = np.bincount(weights_rows, minlength=bsz)
-        for j, i in enumerate(weights_rows):
-            mix[i, j] = 1.0 / counts[i]
         agg = ad.matmul(ad.constant(mix), h_edge)
     else:
         agg = ad.constant(np.zeros((bsz, params.d_n)))
     return ad.concat([h_ego, agg], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# graph-free forward: the same numpy kernels in the same order, no graph
+
+def _gru_values(inputs, w, prefix, hid):
+    """Plain-array twin of :func:`_gru_sequence` (same gate order and ops)."""
+    wx, wh, b = (w[f"{prefix}.{k}"].value for k in ("wx", "wh", "b"))
+    h = np.zeros((inputs.shape[0], hid))
+    for t in range(inputs.shape[1]):
+        gx = np.ascontiguousarray(inputs[:, t, :]) @ wx
+        gx += b
+        gh = h @ wh
+        z = ad.sigmoid_values(gx[:, :hid] + gh[:, :hid])
+        r = ad.sigmoid_values(gx[:, hid:2 * hid] + gh[:, hid:2 * hid])
+        c = np.tanh(gx[:, 2 * hid:] + r * gh[:, 2 * hid:])
+        h = (1.0 - z) * h + z * c
+    return h
+
+
+def features(histories, neighbor_lists, params):
+    """Inference twin of :func:`encode_batch`: a plain (B, d_e + d_n) array,
+    bit-identical to ``encode_batch(...).value``."""
+    histories = _check_histories(histories, neighbor_lists, params)
+    w = params.weights
+    h_ego = _gru_values(_ego_inputs(histories, params.dt), w, "enc.ego", params.d_e)
+    seqs, mix = _neighbor_layout(histories, neighbor_lists, params)
+    if seqs is not None:
+        agg = mix @ _gru_values(seqs, w, "enc.edge", params.d_n)
+    else:
+        agg = np.zeros((histories.shape[0], params.d_n))
+    return np.concatenate([h_ego, agg], axis=1)
 
 
 def encode(history, neighbors, params):
@@ -131,5 +181,4 @@ def encode(history, neighbors, params):
     history = np.asarray(history, dtype=float)
     if history.ndim != 2:
         raise ad.ShapeError(f"encode: history shape {history.shape}, expected (n, 2)")
-    out = encode_batch(history[None], [list(neighbors)], params)
-    return out.value[0].copy()
+    return features(history[None], [list(neighbors)], params)[0]

@@ -181,11 +181,9 @@ def _sample_features(histories, neighbors_list, enc_params, schedule,
     cond_scores is an (n_scores,) vector applied to every history.
     Returns arrays (mean_speed, signed_turn) over all histories x draws.
     """
-    feats = enc_mod.encode_batch(np.stack(histories), list(neighbors_list),
-                                 enc_params).value
-    reps = np.repeat(feats, n_s, axis=0)
-    scores = np.broadcast_to(cond_scores, (reps.shape[0], cond_scores.size))
-    conds = np.concatenate([reps, scores], axis=1)
+    feats = enc_mod.features(np.stack(histories), list(neighbors_list),
+                             enc_params)
+    conds = diffusion.conditions(feats, cond_scores, n_s)
     origins = np.repeat(np.stack([h[-1] for h in histories]), n_s, axis=0)
     futures = diffusion.sample_batch(conds, schedule, den_params, rng,
                                      mode, origins)

@@ -76,14 +76,18 @@ def _mlp(x, params):
     return ad.sigmoid(out)        # (B, 1), image in (0,1)
 
 
-def score_features(feats, rel_futures, params):
-    """Differentiable scores for a feature node and ego-relative futures."""
+def _check_futures(rel_futures, params):
     rel = np.asarray(rel_futures, dtype=float)
     b = rel.shape[0]
     if rel.shape != (b, params.m, 2):
         raise ad.ShapeError(f"score: futures shape {rel.shape}, "
                             f"expected (B, {params.m}, 2)")
-    flat = ad.constant(rel.reshape(b, 2 * params.m))
+    return rel.reshape(b, 2 * params.m)
+
+
+def score_features(feats, rel_futures, params):
+    """Differentiable scores for a feature node and ego-relative futures."""
+    flat = ad.constant(_check_futures(rel_futures, params))
     x = ad.concat([feats, flat], axis=1)
     if x.value.shape[1] != params.input_dim:
         raise ad.ShapeError(f"score: input width {x.value.shape[1]}, "
@@ -92,14 +96,25 @@ def score_features(feats, rel_futures, params):
 
 
 def score(f, future, params):
-    """Score one (feature, ego-relative future) pair; deterministic scalar."""
+    """Score one (feature, ego-relative future) pair; deterministic scalar.
+
+    Runs the MLP on plain arrays, bit-identical to :func:`score_features`.
+    """
     f = np.asarray(f, dtype=float)
     if f.shape != (params.feature_dim,):
         raise ad.ShapeError(f"score: feature shape {f.shape}, "
                             f"expected ({params.feature_dim},)")
-    out = score_features(ad.constant(f[None]), np.asarray(future, dtype=float)[None],
-                         params)
-    return float(out.value[0, 0])
+    flat = _check_futures(np.asarray(future, dtype=float)[None], params)
+    h = np.concatenate([f[None], flat], axis=1)
+    w = params.weights
+    depth = len(params.hidden)
+    for i in range(depth):
+        h = h @ w[f"score.w{i}"].value
+        h += w[f"score.b{i}"].value
+        ad.leaky_relu_values(h, out=h)
+    out = h @ w[f"score.w{depth}"].value
+    out += w[f"score.b{depth}"].value
+    return float(ad.sigmoid_values(out)[0, 0])
 
 
 def btl_prob(s_a, s_b):
@@ -249,7 +264,12 @@ def train_scorer(pairs, params, config, scorer=None):
 
 
 def score_corpus(corpus, scorer, params):
-    """Score every trajectory's own future; returns list of (id, score)."""
+    """Score every trajectory's own future; returns list of (id, score).
+
+    Runs one trajectory at a time through the graph-free encoder and
+    scorer: a batched GEMM may round rows differently, and score tables
+    must stay byte-identical for a given checkpoint.
+    """
     out = []
     for traj in corpus.trajectories:
         f = enc_mod.encode(traj.history, traj.neighbors, params)

@@ -20,6 +20,8 @@ from trajdiff.cli import main as cli_main
 import test_autodiff as autodiff_cases
 import test_checkpoint as checkpoint_cases
 
+pytestmark = pytest.mark.slow
+
 
 def _verdict(num, ok, detail):
     line = f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'}: {detail}"

@@ -445,3 +445,34 @@ def test_adam_rejects_nan_gradient():
 def test_adam_requires_positive_lr():
     with pytest.raises(ValueError):
         ad.Adam([ad.parameter(np.zeros(1))], lr=0.0)
+
+
+# ---------------------------------------------------------------------------
+# activation kernels shared with the graph-free forwards
+
+def test_leaky_relu_values_matches_where_form():
+    x = np.array([-2.0, -1e-310, -0.0, 0.0, 1e-310, 3.0, np.nan, -np.inf, np.inf])
+    for slope in (0.01, 0.5, 1.0):
+        ref = np.where(x > 0, x, slope * x)
+        out = ad.leaky_relu_values(x, slope)
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+    buf = x.copy()
+    assert ad.leaky_relu_values(buf, 0.01, out=buf) is buf
+    assert np.array_equal(buf, ad.leaky_relu_values(x), equal_nan=True)
+
+
+def test_softmax_values_in_place_matches_copy():
+    x = np.random.default_rng(0).standard_normal((3, 4, 5)) * 30.0
+    ref = ad.softmax_values(x)
+    buf = x.copy()
+    assert ad.softmax_values(buf, out=buf) is buf
+    assert np.array_equal(buf, ref)
+    assert np.array_equal(ref, ad.softmax(ad.constant(x)).value)
+
+
+def test_sigmoid_values_no_overflow():
+    x = np.array([-1000.0, -1.0, 0.0, 1.0, 1000.0])
+    out = ad.sigmoid_values(x)
+    assert np.all(np.isfinite(out))
+    assert out[0] == 0.0 and out[2] == 0.5 and out[4] == 1.0

@@ -266,3 +266,56 @@ def test_bad_config_exit_code(pipeline, tmp_path):
     rc = main(["gen-data", "--scenario", "t-intersection", "--count", "10",
                "--config", str(cfgp), "--out", str(tmp_path / "c.jsonl")])
     assert rc == 2
+
+
+def _corrupt_corpus(src, dst, edit_header=None, edit_record=None, raw=None):
+    """Copy the header and first record of a corpus, edited in place."""
+    lines = open(src).read().splitlines()
+    header, rec = json.loads(lines[0]), json.loads(lines[1])
+    if edit_header:
+        edit_header(header)
+    if edit_record:
+        edit_record(rec)
+    dst.write_text(json.dumps(header) + "\n" + (raw or json.dumps(rec)) + "\n")
+
+
+@pytest.mark.parametrize("case, edit_header, edit_record, raw, where", [
+    ("missing history", None, lambda r: r.pop("history"), None, "line 2"),
+    ("missing id", None, lambda r: r.pop("id"), None, "line 2"),
+    ("ragged history", None,
+     lambda r: r.__setitem__("history", [[0.0, 1.0], [2.0]]), None, "line 2"),
+    ("non-numeric id", None, lambda r: r.__setitem__("id", "x"), None, "line 2"),
+    ("neighbors not a list", None,
+     lambda r: r.__setitem__("neighbors", 5), None, "line 2"),
+    ("record not an object", None, None, "[1, 2]", "line 2"),
+    ("header without dt", lambda h: h.pop("dt"), None, None, "line 1"),
+    ("header without m", lambda h: h.pop("m"), None, None, "line 1"),
+    ("non-numeric dt", lambda h: h.__setitem__("dt", "fast"), None, None,
+     "line 1"),
+])
+def test_malformed_corpus_is_a_data_error(pipeline, tmp_path, capsys, case,
+                                          edit_header, edit_record, raw, where):
+    bad = tmp_path / "bad.jsonl"
+    _corrupt_corpus(pipeline["corpus"], bad, edit_header, edit_record, raw)
+    capsys.readouterr()
+    rc = main(["make-pairs", "--corpus", str(bad), "--constraint", "slow-down",
+               "--out", str(tmp_path / "p.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3, case
+    assert len(err) == 1, err
+    assert "kind=data" in err[0] and f"bad.jsonl: {where}" in err[0]
+
+
+def test_non_finite_denoiser_weight_is_a_numerics_error(pipeline, tmp_path,
+                                                       capsys):
+    bundle = checkpoint.load_bundle(pipeline["model"])
+    bundle.denoiser.weights["den.b0.f1.w"].value[3, 5] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    checkpoint.save_bundle(bad, bundle)
+    capsys.readouterr()
+    rc = main(["predict", "--checkpoint", str(bad), "--corpus",
+               pipeline["corpus"], "--c", "0.5", "--n-s", "2",
+               "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 4
+    assert len(err) == 1 and "kind=numerics" in err[0], err

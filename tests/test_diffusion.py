@@ -127,10 +127,10 @@ def test_denoiser_init_deterministic():
 def test_denoiser_zero_init_predicts_zero_noise():
     p = tiny_denoiser()
     rng = np.random.default_rng(0)
-    cond = diffusion.Condition(rng.standard_normal(FDIM), np.array([0.7]))
-    y_t = rng.standard_normal((6, 2))
-    out = diffusion.denoise_predict(y_t, cond, 50, p)
-    assert out.shape == (6, 2)
+    cond = np.append(rng.standard_normal(FDIM), 0.7)[None]
+    y_t = rng.standard_normal((1, 6, 2))
+    out = diffusion._denoise(y_t, cond, np.array([50]), p)
+    assert out.shape == (1, 6, 2)
     assert np.all(out == 0.0)
 
 
@@ -166,12 +166,12 @@ def test_denoiser_sensitive_to_time_and_condition():
 
 def test_denoiser_rejects_mismatched_shapes():
     p = tiny_denoiser(n_scores=2)
-    cond = diffusion.Condition(np.zeros(FDIM), np.array([0.5]))
+    one_score = np.zeros((1, FDIM + 1))
     with pytest.raises(ad.ShapeError):
-        diffusion.denoise_predict(np.zeros((6, 2)), cond, 1, p)
-    good = diffusion.Condition(np.zeros(FDIM), np.array([0.5, 0.5]))
+        diffusion._denoise(np.zeros((1, 6, 2)), one_score, np.array([1]), p)
+    good = np.zeros((1, FDIM + 2))
     with pytest.raises(ad.ShapeError):
-        diffusion.denoise_predict(np.zeros((7, 2)), good, 1, p)
+        diffusion._denoise(np.zeros((1, 7, 2)), good, np.array([1]), p)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +274,16 @@ def test_sample_single_step_closed_form():
     sched = diffusion.make_schedule(T=1, beta_start=0.04, beta_end=0.04)
     p = tiny_denoiser()
     p.scale = 2.5
-    cond = diffusion.Condition(np.zeros(FDIM), np.array([0.5]))
-    out = diffusion.sample(cond, sched, p, np.random.default_rng(123),
-                           mode="paper-mean", origin=(3.0, 4.0))
+    cond = diffusion.conditions(np.zeros(FDIM), [0.5], 1)
+    origin = np.array([[3.0, 4.0]])
+    out = diffusion.sample_batch(cond, sched, p, np.random.default_rng(123),
+                                 mode="paper-mean", origins=origin)[0]
     draw = np.random.default_rng(123).standard_normal((1, 6, 2))[0]
     expect = draw / math.sqrt(0.96) * 2.5 + np.array([3.0, 4.0])
     assert np.allclose(out, expect, atol=1e-12)
     # the final step never adds noise, so ancestral agrees at T=1
-    anc = diffusion.sample(cond, sched, p, np.random.default_rng(123),
-                           mode="ancestral", origin=(3.0, 4.0))
+    anc = diffusion.sample_batch(cond, sched, p, np.random.default_rng(123),
+                                 mode="ancestral", origins=origin)[0]
     assert np.array_equal(out, anc)
 
 
@@ -290,9 +291,9 @@ def test_sample_mean_updates_compound():
     # With zero predicted noise every mean update divides by sqrt(alpha_t),
     # so the paper-mean chain collapses to y_T / sqrt(alpha_bar_T).
     sched, p = zero_model_setup(T=5)
-    cond = diffusion.Condition(np.ones(FDIM), np.array([0.2]))
-    out = diffusion.sample(cond, sched, p, np.random.default_rng(11),
-                           mode="paper-mean")
+    cond = diffusion.conditions(np.ones(FDIM), [0.2], 1)
+    out = diffusion.sample_batch(cond, sched, p, np.random.default_rng(11),
+                                 mode="paper-mean")[0]
     draw = np.random.default_rng(11).standard_normal((1, 6, 2))[0]
     expect = draw / math.sqrt(sched.alpha_bar[-1]) * p.scale
     assert np.allclose(out, expect, atol=1e-10)
@@ -300,14 +301,14 @@ def test_sample_mean_updates_compound():
 
 def test_sample_modes_and_determinism():
     sched, p = zero_model_setup(T=5)
-    cond = diffusion.Condition(np.zeros(FDIM), np.array([0.5]))
-    a = diffusion.sample(cond, sched, p, np.random.default_rng(7))
-    b = diffusion.sample(cond, sched, p, np.random.default_rng(7))
+    cond = diffusion.conditions(np.zeros(FDIM), [0.5], 1)
+    a = diffusion.sample_batch(cond, sched, p, np.random.default_rng(7))
+    b = diffusion.sample_batch(cond, sched, p, np.random.default_rng(7))
     assert np.array_equal(a, b)
-    c = diffusion.sample(cond, sched, p, np.random.default_rng(8))
+    c = diffusion.sample_batch(cond, sched, p, np.random.default_rng(8))
     assert not np.array_equal(a, c)
-    mean = diffusion.sample(cond, sched, p, np.random.default_rng(7),
-                            mode="paper-mean")
+    mean = diffusion.sample_batch(cond, sched, p, np.random.default_rng(7),
+                                  mode="paper-mean")
     assert not np.array_equal(a, mean)
 
 
@@ -323,13 +324,13 @@ def test_sample_batch_translates_origins():
 
 def test_sample_rejects_bad_args():
     sched, p = zero_model_setup(T=3)
-    cond = diffusion.Condition(np.zeros(FDIM), np.array([0.5, 0.5]))
+    cond = diffusion.conditions(np.zeros(FDIM), [0.5, 0.5], 1)
     with pytest.raises(ad.ShapeError):
-        diffusion.sample(cond, sched, p, np.random.default_rng(0))
-    good = diffusion.Condition(np.zeros(FDIM), np.array([0.5]))
+        diffusion.sample_batch(cond, sched, p, np.random.default_rng(0))
+    good = diffusion.conditions(np.zeros(FDIM), [0.5], 1)
     with pytest.raises(ValueError, match="mode"):
-        diffusion.sample(good, sched, p, np.random.default_rng(0),
-                         mode="ddim")
+        diffusion.sample_batch(good, sched, p, np.random.default_rng(0),
+                               mode="ddim")
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +385,20 @@ def test_conditioning_changes_samples_after_training(small_world):
     p, _ = diffusion.train_diffusion(corpus, scores, enc, sched, cfg)
     t0 = corpus.trajectories[0]
     f = encoder.encode(t0.history, t0.neighbors, enc)
-    lo = diffusion.Condition(f, np.array([0.1]))
-    hi = diffusion.Condition(f, np.array([0.9]))
-    a = diffusion.sample(lo, sched, p, np.random.default_rng(5),
-                         mode="paper-mean")
-    b = diffusion.sample(hi, sched, p, np.random.default_rng(5),
-                         mode="paper-mean")
+    lo = diffusion.conditions(f, [0.1], 1)
+    hi = diffusion.conditions(f, [0.9], 1)
+    a = diffusion.sample_batch(lo, sched, p, np.random.default_rng(5),
+                               mode="paper-mean")[0]
+    b = diffusion.sample_batch(hi, sched, p, np.random.default_rng(5),
+                               mode="paper-mean")[0]
     gap = float(np.sqrt(((a - b) ** 2).sum(axis=1)).mean())
     assert gap > 0.0
+
+
+def test_conditions_row_order():
+    feats = np.array([[1.0, 2.0], [3.0, 4.0]])
+    rows = diffusion.conditions(feats, [0.5], 2)
+    assert rows.tolist() == [[1, 2, 0.5], [1, 2, 0.5], [3, 4, 0.5], [3, 4, 0.5]]
+    grid = diffusion.conditions(feats[0], [[0.1, 0.2], [0.3, 0.4]], 2)
+    assert grid.tolist() == [[1, 2, 0.1, 0.2], [1, 2, 0.1, 0.2],
+                             [1, 2, 0.3, 0.4], [1, 2, 0.3, 0.4]]

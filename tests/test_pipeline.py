@@ -6,8 +6,11 @@ almost unchanged through the denoiser, and breaking the score-trajectory
 pairing at training time must destroy conditional adherence.
 """
 import numpy as np
+import pytest
 
 from trajdiff import data, diffusion, encoder, evaluate
+
+pytestmark = pytest.mark.slow
 
 # corpus physics: no sampled step may exceed the generator's speed cap
 # by more than 50% (allows diffusion jitter around legitimate motion)
