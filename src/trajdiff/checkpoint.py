@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import diffusion
-from .data import DataError
+from .data import DataError, _bad_field
 from .diffusion import DenoiserParams, DiffusionSchedule
 from .encoder import EncoderParams
 from .scoring import ScorerParams
@@ -134,7 +134,10 @@ def load_bundle(path):
     version = r.unpack("<I")
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    meta = json.loads(r.take(r.unpack("<Q")).decode("utf-8"))
+    try:
+        meta = json.loads(r.take(r.unpack("<Q")).decode("utf-8"))
+    except ValueError as exc:       # bad UTF-8 or bad JSON
+        raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
     count = r.unpack("<I")
     weights = {}
     for _ in range(count):
@@ -148,6 +151,14 @@ def load_bundle(path):
     if r.pos != len(blob):
         raise DataError(f"{path}: trailing bytes after checkpoint payload")
 
+    try:
+        return _bundle(meta, weights)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad checkpoint header: "
+                        f"{_bad_field(exc)}") from None
+
+
+def _bundle(meta, weights):
     def grab(prefix):
         return {k: v for k, v in weights.items() if k.startswith(prefix)}
 

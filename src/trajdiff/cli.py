@@ -74,40 +74,6 @@ def _test_subset(corpus, limit, seed):
     return trajs
 
 
-def write_scores_csv(path, rows, meta):
-    with open(path, "w") as fh:
-        for k in sorted(meta):
-            fh.write(f"# {k}={meta[k]}\n")
-        fh.write("trajectory_id,score\n")
-        for tid, s in rows:
-            fh.write(f"{tid},{s:.12g}\n")
-
-
-def load_scores_csv(path):
-    """Returns (constraint name or None, id -> score dict)."""
-    name = None
-    scores = {}
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    body = []
-    for ln in lines:
-        if ln.startswith("#"):
-            key, _, val = ln[1:].strip().partition("=")
-            if key == "constraint":
-                name = val
-        elif ln:
-            body.append(ln)
-    if not body or body[0] != "trajectory_id,score":
-        raise data_mod.DataError(f"{path}: not a score table")
-    for k, ln in enumerate(body[1:], start=2):
-        fields = ln.split(",")
-        try:
-            scores[int(fields[0])] = float(fields[1])
-        except (IndexError, ValueError):
-            raise data_mod.DataError(f"{path}: bad score row {k}: {ln!r}")
-    return name, scores
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -152,39 +118,25 @@ def cmd_make_pairs(args):
     return 0
 
 
-def _score_train_config(cfg):
-    return scoring.ScoreTrainConfig(
-        lam=cfg.lam, entropy_grid=cfg.entropy_grid, bandwidth=cfg.bandwidth,
-        epochs=cfg.score_epochs, batch_size=cfg.score_batch, lr=cfg.score_lr,
-        seed=cfg.seed, holdout_fraction=cfg.holdout_fraction,
-        normalize_entropy=cfg.normalize_entropy)
-
-
 def cmd_train_score(args):
     cfg = _load_config(args)
     pairs, meta = data_mod.load_pairs(args.pairs)
     constraint = meta.get("constraint", "unknown")
     enc = enc_mod.init_encoder(cfg.d_e, cfg.d_n, cfg.n, cfg.dt, seed=cfg.seed)
-    m = pairs[0].future_a.shape[0] if pairs else cfg.m
-    scorer = scoring.init_scorer(enc.feature_dim, m=m,
-                                 hidden=tuple(cfg.scorer_hidden),
-                                 seed=cfg.seed)
-    scorer, report = scoring.train_scorer(pairs, enc, _score_train_config(cfg),
-                                          scorer=scorer)
+    scorer, report = scoring.train_scorer(pairs, enc, cfg)
     bundle = ckpt_mod.Bundle(encoder=enc, scorer=scorer, denoiser=None,
                              schedule=None, constraints=[constraint],
-                             config=cfg.to_dict(), m=m)
+                             config=cfg.to_dict(), m=scorer.m)
     ckpt_mod.save_bundle(args.out, bundle)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(f"# constraint={constraint}\n")
-            fh.write(f"# final_holdout_accuracy="
-                     f"{report['final_holdout_accuracy']:.6f}\n")
-            fh.write(f"# holdout_score_std={report['holdout_score_std']:.6f}\n")
-            fh.write("epoch,train_loss,holdout_accuracy\n")
-            for row in report["epochs"]:
-                fh.write(f"{row['epoch']},{row['train_loss']:.6f},"
-                         f"{row['holdout_accuracy']:.6f}\n")
+        data_mod.write_table(args.report, {
+            "constraint": constraint,
+            "final_holdout_accuracy":
+                f"{report['final_holdout_accuracy']:.6f}",
+            "holdout_score_std": f"{report['holdout_score_std']:.6f}"},
+            "epoch,train_loss,holdout_accuracy",
+            (f"{row['epoch']},{row['train_loss']:.6f},"
+             f"{row['holdout_accuracy']:.6f}" for row in report["epochs"]))
     _say(wrote=args.out, constraint=constraint,
          train_pairs=report["train_pairs"],
          holdout_accuracy=f"{report['final_holdout_accuracy']:.4f}")
@@ -196,9 +148,10 @@ def cmd_score_corpus(args):
     _need(bundle, "scorer")
     corpus = data_mod.load_corpus(args.corpus)
     rows = scoring.score_corpus(corpus, bundle.scorer, bundle.encoder)
-    write_scores_csv(args.out, rows, meta={
+    data_mod.write_table(args.out, {
         "constraint": bundle.constraints[0], "checkpoint": str(args.checkpoint),
-        "corpus": str(args.corpus)})
+        "corpus": str(args.corpus)}, "trajectory_id,score",
+        (f"{tid},{s:.12g}" for tid, s in rows))
     vals = np.array([s for _, s in rows])
     _say(wrote=args.out, scored=len(rows), mean=f"{vals.mean():.4f}",
          std=f"{vals.std():.4f}")
@@ -211,7 +164,7 @@ def cmd_train_diffusion(args):
     corpus = data_mod.load_corpus(args.corpus)
     names, tables = [], []
     for path in args.scores:
-        name, table = load_scores_csv(path)
+        name, table = data_mod.load_scores_csv(path)
         names.append(name or "unknown")
         tables.append(table)
     merged = {}
@@ -221,12 +174,8 @@ def cmd_train_diffusion(args):
         except KeyError:
             continue  # train_diffusion reports missing train-split ids
     sched = _schedule(cfg)
-    dcfg = diffusion.DiffusionTrainConfig(
-        epochs=cfg.diffusion_epochs, batch_size=cfg.diffusion_batch,
-        lr=cfg.diffusion_lr, seed=cfg.seed, width=cfg.width, heads=cfg.heads,
-        depth=cfg.depth, use_all_data=args.all_data)
     den, report = diffusion.train_diffusion(corpus, merged, base.encoder,
-                                            sched, dcfg)
+                                            sched, cfg, args.all_data)
     bundle = ckpt_mod.Bundle(encoder=base.encoder, scorer=base.scorer,
                              denoiser=den, schedule=sched, constraints=names,
                              config=cfg.to_dict(), m=corpus.m)
@@ -375,8 +324,27 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------------------
 # argument surface
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a usage failure instead of exiting."""
+
+    def error(self, message):
+        raise _Failure(USAGE, f"{self.prog}: {message}")
+
+
+def _count(text):
+    """Sample and trajectory counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, "
+                                         f"got {text!r}")
+    return value
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="trajdiff",
         description="Preference-scored conditional trajectory diffusion.")
     sub = p.add_subparsers(dest="command", required=True)
@@ -415,7 +383,6 @@ def build_parser():
 
     sp = sub.add_parser("train-score", help="train the preference scorer")
     common(sp)
-    sp.add_argument("--corpus", help="unused, kept for pipeline symmetry")
     sp.add_argument("--pairs", required=True)
     sp.add_argument("--report", help="write per-epoch CSV here")
     sp.add_argument("--out", required=True)
@@ -446,7 +413,7 @@ def build_parser():
     sp.add_argument("--id", type=int, help="trajectory id, default lowest")
     sp.add_argument("--c", type=float, nargs="+", required=True,
                     help="conditioning value per constraint")
-    sp.add_argument("--n-s", type=int, default=20)
+    sp.add_argument("--n-s", type=_count, default=20)
     sp.add_argument("--mode", choices=("ancestral", "paper-mean"),
                     default="ancestral")
     sp.add_argument("--seed", type=int)
@@ -457,9 +424,9 @@ def build_parser():
     sp = sub.add_parser("eval", help="best-of-N metrics on the held-out split")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--corpus", required=True)
-    sp.add_argument("--n-c", type=int, default=20)
-    sp.add_argument("--n-s", type=int, default=20)
-    sp.add_argument("--limit", type=int,
+    sp.add_argument("--n-c", type=_count, default=20)
+    sp.add_argument("--n-s", type=_count, default=20)
+    sp.add_argument("--limit", type=_count,
                     help="evaluate at most this many trajectories")
     sp.add_argument("--baseline", action="store_true",
                     help="add a constant-velocity row")
@@ -477,10 +444,10 @@ def build_parser():
     sp.add_argument("--budgets",
                     help="ablation cells, e.g. 20x20,10x10; default the "
                          "standard five")
-    sp.add_argument("--limit", type=int, default=8,
+    sp.add_argument("--limit", type=_count, default=8,
                     help="histories drawn from the held-out split")
     sp.add_argument("--grid-size", type=int, default=20)
-    sp.add_argument("--n-s", type=int, default=10)
+    sp.add_argument("--n-s", type=_count, default=10)
     sp.add_argument("--constraint", choices=sorted(data_mod.ANNOTATOR_KINDS),
                     help="feature to measure, default from the checkpoint")
     sp.add_argument("--axis", type=int, default=0,
@@ -496,13 +463,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:       # --help
+        return exc.code if exc.code is not None else 0
     except _Failure as exc:
         code = exc.code
         message = str(exc)

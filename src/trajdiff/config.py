@@ -1,8 +1,9 @@
 """Pipeline configuration: one flat record of every tunable default.
 
-Configs load from JSON.  Unknown keys are rejected rather than ignored
-so a typo never silently falls back to a default, and every value is
-range-checked at load time.
+Both trainers read their settings from it.  Configs load from JSON.
+Unknown keys are rejected rather than ignored so a typo never silently
+falls back to a default, and every value is range-checked when a Config
+is built.
 """
 
 import dataclasses
@@ -32,7 +33,6 @@ class Config:
     score_batch: int = 32
     score_lr: float = 3e-3
     holdout_fraction: float = 0.2
-    pair_fraction: float = 0.01   # labeled share of the corpus
     tie_threshold_speed: float = 0.1    # metres/second
     tie_threshold_turn: float = 0.087   # radians, about 5 degrees
 
@@ -48,22 +48,23 @@ class Config:
     heads: int = 4
     depth: int = 2
 
-    # sampling
-    n_c: int = 20                 # conditioning values per prediction
-    n_s: int = 20                 # draws per conditioning value
-
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        positive_ints = ("n", "m", "d_e", "d_n", "entropy_grid",
-                         "score_epochs", "score_batch", "T",
-                         "diffusion_epochs", "diffusion_batch", "width",
-                         "heads", "depth", "n_c", "n_s")
-        for name in positive_ints:
+        # zero epochs is allowed: the run then keeps the initial weights
+        int_minimums = {"n": 1, "m": 1, "d_e": 1, "d_n": 1,
+                        "entropy_grid": 2, "score_epochs": 0,
+                        "score_batch": 1, "T": 1, "diffusion_epochs": 0,
+                        "diffusion_batch": 1, "width": 1, "heads": 1,
+                        "depth": 1}
+        for name, low in int_minimums.items():
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"config: {name} must be a positive "
-                                 f"integer, got {v!r}")
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                raise ValueError(f"config: {name} must be an integer "
+                                 f">= {low}, got {v!r}")
         positive_floats = ("dt", "neighbor_radius", "bandwidth", "score_lr",
                            "diffusion_lr", "tie_threshold_speed",
                            "tie_threshold_turn")
@@ -80,9 +81,6 @@ class Config:
         if self.schedule_kind not in ("linear", "cosine"):
             raise ValueError(f"config: unknown schedule_kind "
                              f"{self.schedule_kind!r}")
-        if not 0 < self.pair_fraction <= 1:
-            raise ValueError(f"config: pair_fraction must be in (0, 1], "
-                             f"got {self.pair_fraction!r}")
         if not 0 <= self.holdout_fraction < 1:
             raise ValueError(f"config: holdout_fraction must be in [0, 1), "
                              f"got {self.holdout_fraction!r}")
@@ -120,7 +118,7 @@ def from_dict(values):
             raise ValueError(f"config: scorer_hidden must be a list, "
                              f"got {merged['scorer_hidden']!r}")
         merged["scorer_hidden"] = tuple(merged["scorer_hidden"])
-    return Config(**merged).validate()
+    return Config(**merged)
 
 
 def load_config(path):
@@ -133,8 +131,3 @@ def load_config(path):
         raise ValueError(f"config: {path} must hold a JSON object")
     return from_dict(values)
 
-
-def save_config(cfg, path):
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

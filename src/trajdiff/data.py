@@ -514,7 +514,7 @@ def load_pairs(path):
         if not first.strip():
             raise DataError(f"{path}: empty pairs file")
         header = _json_line(first, 1, path)
-        if header.get("kind") != "pairs":
+        if not isinstance(header, dict) or header.get("kind") != "pairs":
             raise DataError(f"{path}: not a pairs file")
         meta = {k: v for k, v in header.items() if k not in ("kind", "version")}
         pairs = []
@@ -522,15 +522,69 @@ def load_pairs(path):
             if not line.strip():
                 continue
             rec = _json_line(line, lineno, path)
-            if rec["label"] not in (0, 1):
+            try:
+                label = rec["label"]
+                fa = np.array(rec["future_a"], dtype=float)
+                fb = np.array(rec["future_b"], dtype=float)
+                history = np.array(rec["history"], dtype=float)
+                neighbors = [np.array(q, dtype=float) for q in rec["neighbors"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}: line {lineno}: bad record: "
+                                f"{_bad_field(exc)}") from None
+            if label not in (0, 1):
                 raise DataError(f"{path}: line {lineno}: label must be 0 or 1")
-            fa = np.array(rec["future_a"], dtype=float)
-            fb = np.array(rec["future_b"], dtype=float)
+            # every track is (steps, 2), with the first record's lengths
+            ref = pairs[0] if pairs else PairwiseSample(history, fa, fb, 0, [])
+            past = ref.history.shape[:1] + (2,)
+            ahead = ref.future_a.shape[:1] + (2,)
+            tracks = ([(history, past), (fa, ahead), (fb, ahead)]
+                      + [(q, past) for q in neighbors])
+            if any(a.shape != want for a, want in tracks):
+                raise DataError(f"{path}: line {lineno}: bad record: want "
+                                f"{past} history and neighbours, "
+                                f"{ahead} futures")
             if np.array_equal(fa, fb):
                 raise DataError(f"{path}: line {lineno}: identical futures")
-            pairs.append(PairwiseSample(np.array(rec["history"], dtype=float),
-                                        fa, fb, int(rec["label"]),
-                                        [np.array(q, dtype=float) for q in rec["neighbors"]]))
+            pairs.append(PairwiseSample(history, fa, fb, int(label), neighbors))
     if not pairs:
         raise DataError(f"{path}: no pairs")
     return pairs, meta
+
+
+# ---------------------------------------------------------------------------
+# CSV tables with a "# key=value" preamble
+
+def write_table(path, meta, header, rows):
+    """Write one "# key=value" line per meta entry in key order, then the
+    CSV header and the already formatted rows."""
+    with open(path, "w") as fh:
+        for k in sorted(meta):
+            fh.write(f"# {k}={meta[k]}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
+def load_scores_csv(path):
+    """Read a score table; returns (constraint name or None, id -> score)."""
+    name = None
+    scores = {}
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    body = []
+    for ln in lines:
+        if ln.startswith("#"):
+            key, _, val = ln[1:].strip().partition("=")
+            if key == "constraint":
+                name = val
+        elif ln:
+            body.append(ln)
+    if not body or body[0] != "trajectory_id,score":
+        raise DataError(f"{path}: not a score table")
+    for k, ln in enumerate(body[1:], start=2):
+        fields = ln.split(",")
+        try:
+            scores[int(fields[0])] = float(fields[1])
+        except (IndexError, ValueError):
+            raise DataError(f"{path}: bad score row {k}: {ln!r}")
+    return name, scores

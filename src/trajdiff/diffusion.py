@@ -175,12 +175,10 @@ def _check_inputs(y_t, cond_shape, params):
 def denoise_batch(y_t, cond_arr, ts, params):
     """Predict the noise for a batch: y_t (B,m,2), cond (B, F+S), ts (B,).
 
-    cond_arr may be a plain array (frozen conditions) or a graph node when
-    the encoder is being trained through the denoiser.  This is the
-    training path and the reference that :func:`_denoise` reproduces.
+    This is the training path and the reference that :func:`_denoise`
+    reproduces.
     """
-    if not isinstance(cond_arr, ad.Node):
-        cond_arr = ad.constant(np.asarray(cond_arr, dtype=float))
+    cond_arr = ad.constant(np.asarray(cond_arr, dtype=float))
     y_t = _check_inputs(y_t, cond_arr.value.shape, params)
     b, m, _ = y_t.shape
     ts = np.asarray(ts, dtype=int)
@@ -281,19 +279,6 @@ def _denoise(y_t, cond, ts, params):
 # ---------------------------------------------------------------------------
 # training
 
-@dataclass
-class DiffusionTrainConfig:
-    epochs: int = 15
-    batch_size: int = 64
-    lr: float = 2e-3
-    seed: int = 0
-    width: int = 64
-    heads: int = 4
-    depth: int = 2
-    use_all_data: bool = False     # default holds out the id-hash test split
-    freeze_encoder: bool = True
-
-
 def _relative_futures(trajs):
     return np.stack([t.future - t.history[-1] for t in trajs])
 
@@ -308,16 +293,19 @@ def _frozen_features(trajs, enc_params, chunk=256):
     return np.concatenate(out, axis=0)
 
 
-def train_diffusion(corpus, scores, enc_params, schedule, config, denoiser=None):
+def train_diffusion(corpus, scores, enc_params, schedule, config,
+                    use_all_data=False):
     """Train the denoiser on (history feature, score)-conditioned futures.
 
     `scores` maps trajectory id to that trajectory's constraint score(s),
-    as produced by a trained preference scorer over the corpus.  Futures
-    are ego-relative and divided by a corpus-wide scale stored on the
-    returned params.  Returns (params, report with per-epoch mean loss).
+    as produced by a trained preference scorer over the corpus.  The
+    encoder stays frozen.  Futures are ego-relative and divided by a
+    corpus-wide scale stored on the returned params.  The id-hash test
+    split is held out unless use_all_data is set.  Returns (params,
+    report with per-epoch mean loss).
     """
     trajs = corpus.trajectories
-    if not config.use_all_data:
+    if not use_all_data:
         trajs = [t for t in trajs if not data_mod.is_test_id(t.id)]
     if not trajs:
         raise ValueError("train_diffusion: no training trajectories")
@@ -331,50 +319,34 @@ def train_diffusion(corpus, scores, enc_params, schedule, config, denoiser=None)
 
     m = corpus.m
     rel = _relative_futures(trajs)
-    if denoiser is None:
-        denoiser = init_denoiser(enc_params.feature_dim, m=m, n_scores=n_scores,
-                                 width=config.width, heads=config.heads,
-                                 depth=config.depth, max_t=schedule.T,
-                                 seed=config.seed)
-        denoiser.scale = float(rel.std())
-    if n_scores != denoiser.n_scores:
-        raise ValueError(f"{n_scores} scores per trajectory, model expects "
-                         f"{denoiser.n_scores}")
+    denoiser = init_denoiser(enc_params.feature_dim, m=m, n_scores=n_scores,
+                             width=config.width, heads=config.heads,
+                             depth=config.depth, max_t=schedule.T,
+                             seed=config.seed)
+    denoiser.scale = float(rel.std())
     y0 = rel / denoiser.scale
 
     feats = _frozen_features(trajs, enc_params)
     conds = np.concatenate([feats, score_arr], axis=1)
 
-    trainable = dict(denoiser.weights)
-    if not config.freeze_encoder:
-        trainable.update(enc_params.weights)
-    opt = ad.Adam(trainable, lr=config.lr)
+    opt = ad.Adam(denoiser.weights, lr=config.diffusion_lr)
     rng = np.random.default_rng(config.seed)
     report = {"epochs": [], "scale": denoiser.scale, "trained_on": len(trajs)}
 
     count = len(trajs)
-    for epoch in range(config.epochs):
+    for epoch in range(config.diffusion_epochs):
         perm = rng.permutation(count)
         total, batches = 0.0, 0
-        for lo in range(0, count, config.batch_size):
-            idx = perm[lo:lo + config.batch_size]
+        for lo in range(0, count, config.diffusion_batch):
+            idx = perm[lo:lo + config.diffusion_batch]
             b = len(idx)
             ts = rng.integers(1, schedule.T + 1, size=b)
             eps = rng.standard_normal((b, m, 2))
             ab = schedule.alpha_bar[ts - 1][:, None, None]
             y_t = np.sqrt(ab) * y0[idx] + np.sqrt(1.0 - ab) * eps
 
-            if config.freeze_encoder:
-                cond = conds[idx]
-            else:
-                part = [trajs[i] for i in idx]
-                hists = np.stack([t.history for t in part])
-                f_node = enc_mod.encode_batch(hists, [t.neighbors for t in part],
-                                              enc_params)
-                cond = ad.concat([f_node, ad.constant(score_arr[idx])], axis=1)
-
-            ad.zero_grad(trainable.values())
-            eps_hat = denoise_batch(y_t, cond, ts, denoiser)
+            ad.zero_grad(denoiser.weights.values())
+            eps_hat = denoise_batch(y_t, conds[idx], ts, denoiser)
             diff = ad.sub(eps_hat, ad.constant(eps))
             loss = ad.mul(ad.reduce_sum(ad.square(diff), axis=None),
                           ad.constant(1.0 / b))

@@ -283,27 +283,12 @@ def multi_constraint_grid(histories, neighbors_list, enc_params, schedule,
 # ---------------------------------------------------------------------------
 # CSV reports
 
-def _write_meta(fh, meta):
-    for k in sorted(meta):
-        fh.write(f"# {k}={meta[k]}\n")
-
-
 def write_metric_csv(path, reports, meta=None):
     """Aggregate rows for one or more MetricReports."""
-    with open(path, "w") as fh:
-        _write_meta(fh, meta or {})
-        fh.write("n_c,n_s,min_ade,min_fde,runtime_seconds\n")
-        for r in reports:
-            fh.write(f"{r.n_c},{r.n_s},{r.min_ade:.6f},{r.min_fde:.6f},"
-                     f"{r.runtime_seconds:.3f}\n")
-
-
-def write_per_trajectory_csv(path, report, meta=None):
-    with open(path, "w") as fh:
-        _write_meta(fh, meta or {})
-        fh.write("trajectory_id,min_ade,min_fde\n")
-        for tid, ade, fde in report.per_trajectory:
-            fh.write(f"{tid},{ade:.6f},{fde:.6f}\n")
+    data_mod.write_table(
+        path, meta or {}, "n_c,n_s,min_ade,min_fde,runtime_seconds",
+        (f"{r.n_c},{r.n_s},{r.min_ade:.6f},{r.min_fde:.6f},"
+         f"{r.runtime_seconds:.3f}" for r in reports))
 
 
 def write_adherence_csv(path, report, meta=None):
@@ -312,11 +297,9 @@ def write_adherence_csv(path, report, meta=None):
                 rho=f"{report.rho:.6f}",
                 monotone_fraction=f"{report.monotone_fraction:.6f}",
                 adheres=report.adheres)
-    with open(path, "w") as fh:
-        _write_meta(fh, full)
-        fh.write("c,mean_feature\n")
-        for c, v in zip(report.grid, report.mean_feature):
-            fh.write(f"{c:.6f},{v:.6f}\n")
+    data_mod.write_table(
+        path, full, "c,mean_feature",
+        (f"{c:.6f},{v:.6f}" for c, v in zip(report.grid, report.mean_feature)))
 
 
 def write_grid_csv(path, report, meta=None):
@@ -325,8 +308,7 @@ def write_grid_csv(path, report, meta=None):
         for fi, fname in enumerate(("turn", "speed")):
             full[f"rho_axis{a}_{fname}"] = f"{report.rho[a, fi]:.6f}"
             full[f"effect_axis{a}_{fname}"] = f"{report.effect[a, fi]:.6f}"
-    with open(path, "w") as fh:
-        _write_meta(fh, full)
-        fh.write("c1,c2,mean_turn,mean_speed\n")
-        for (c1, c2), turn, speed in report.cells:
-            fh.write(f"{c1:.6f},{c2:.6f},{turn:.6f},{speed:.6f}\n")
+    data_mod.write_table(
+        path, full, "c1,c2,mean_turn,mean_speed",
+        (f"{c1:.6f},{c2:.6f},{turn:.6f},{speed:.6f}"
+         for (c1, c2), turn, speed in report.cells))

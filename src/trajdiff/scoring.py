@@ -30,30 +30,6 @@ class ScorerParams:
         return self.feature_dim + 2 * self.m
 
 
-@dataclass
-class ScoreTrainConfig:
-    lam: float = 0.1            # entropy bonus weight
-    entropy_grid: int = 20      # grid points for the density entropy
-    bandwidth: float = 0.05     # KDE bandwidth on the score axis
-    epochs: int = 30
-    batch_size: int = 32
-    lr: float = 3e-3
-    seed: int = 0
-    holdout_fraction: float = 0.2
-    freeze_encoder: bool = False
-    normalize_entropy: bool = True
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"entropy weight must be >= 0, got {self.lam}")
-        if self.entropy_grid < 2:
-            raise ValueError(f"entropy grid must have >= 2 points, got {self.entropy_grid}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if not 0 <= self.holdout_fraction < 1:
-            raise ValueError("holdout fraction must be in [0, 1)")
-
-
 def init_scorer(feature_dim, m=12, hidden=(64, 32), seed=0, zero=False):
     rng = np.random.default_rng(seed)
     weights = {}
@@ -130,32 +106,16 @@ def btl_prob(s_a, s_b):
     return 1.0 - 1.0 / (1.0 + math.exp(d))
 
 
-def _pair_scores(pairs, scorer, params, freeze_encoder=False):
+def _pair_scores(pairs, scorer, params):
     """Stacked scores for winners-and-losers: returns ((2B,1) node, B)."""
     hists = np.stack([p.history for p in pairs])
     nbrs = [p.neighbors for p in pairs]
     rel_a = np.stack([p.future_a - p.history[-1] for p in pairs])
     rel_b = np.stack([p.future_b - p.history[-1] for p in pairs])
     feats = enc_mod.encode_batch(hists, nbrs, params)
-    if freeze_encoder:
-        feats = ad.constant(feats.value)
     both = ad.concat([feats, feats], axis=0)
     futures = np.concatenate([rel_a, rel_b], axis=0)
     return score_features(both, futures, scorer), len(pairs)
-
-
-def mle_loss(pairs, scorer, params, freeze_encoder=False):
-    """Negative log likelihood of the labeled winners, summed over the batch."""
-    if not pairs:
-        raise ValueError("mle_loss: empty batch")
-    scores, b = _pair_scores(pairs, scorer, params, freeze_encoder)
-    # +1 when future_a won, -1 when future_b won
-    sign = np.array([[1.0] if p.label == 0 else [-1.0] for p in pairs])
-    sa = ad.slice_axis(scores, 0, 0, b)
-    sb = ad.slice_axis(scores, 0, b, 2 * b)
-    margin = ad.mul(ad.sub(sa, sb), ad.constant(sign))
-    return ad.mul(ad.reduce_sum(ad.log(ad.sigmoid(margin)), axis=None),
-                  ad.constant(-1.0))
 
 
 def entropy_penalty(scores, grid_size=20, bandwidth=0.05, normalize=True):
@@ -189,10 +149,15 @@ def entropy_penalty(scores, grid_size=20, bandwidth=0.05, normalize=True):
 
 
 def scorer_loss(pairs, scorer, params, config):
-    """Training objective: likelihood term minus the weighted entropy bonus."""
+    """Training objective: likelihood term minus the weighted entropy bonus.
+
+    The likelihood term is the negative log likelihood of the labeled
+    winners, summed over the batch; with config.lam == 0 it is the whole
+    loss.
+    """
     if not pairs:
         raise ValueError("empty batch")
-    scores, b = _pair_scores(pairs, scorer, params, config.freeze_encoder)
+    scores, b = _pair_scores(pairs, scorer, params)
     sign = np.array([[1.0] if p.label == 0 else [-1.0] for p in pairs])
     sa = ad.slice_axis(scores, 0, 0, b)
     sb = ad.slice_axis(scores, 0, b, 2 * b)
@@ -209,25 +174,25 @@ def scorer_loss(pairs, scorer, params, config):
 def _holdout_accuracy(pairs, scorer, params):
     if not pairs:
         return float("nan"), np.array([])
-    scores, b = _pair_scores(pairs, scorer, params, freeze_encoder=True)
+    scores, b = _pair_scores(pairs, scorer, params)
     vals = scores.value.ravel()
     sa, sb = vals[:b], vals[b:]
     won = [(sa[i] > sb[i]) == (p.label == 0) for i, p in enumerate(pairs)]
     return float(np.mean(won)), vals
 
 
-def train_scorer(pairs, params, config, scorer=None):
+def train_scorer(pairs, params, config):
     """Minibatch Adam on the preference loss; returns (scorer, report).
 
-    The history encoder is trained jointly unless config.freeze_encoder is
-    set.  The report carries per-epoch loss and held-out accuracy, plus the
-    final held-out score spread and histogram.
+    A fresh scorer of config.scorer_hidden widths is trained jointly with
+    the history encoder.  The report carries per-epoch loss and held-out
+    accuracy, plus the final held-out score spread and histogram.
     """
     if not pairs:
         raise ValueError("train_scorer: no training pairs")
     m = pairs[0].future_a.shape[0]
-    if scorer is None:
-        scorer = init_scorer(params.feature_dim, m=m, seed=config.seed)
+    scorer = init_scorer(params.feature_dim, m=m,
+                         hidden=tuple(config.scorer_hidden), seed=config.seed)
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(pairs))
     n_hold = int(round(config.holdout_fraction * len(pairs)))
@@ -236,17 +201,15 @@ def train_scorer(pairs, params, config, scorer=None):
     if not train:
         raise ValueError("train_scorer: holdout fraction leaves no training pairs")
 
-    trainable = dict(scorer.weights)
-    if not config.freeze_encoder:
-        trainable.update(params.weights)
-    opt = ad.Adam(trainable, lr=config.lr)
+    trainable = {**scorer.weights, **params.weights}
+    opt = ad.Adam(trainable, lr=config.score_lr)
 
     report = {"epochs": [], "train_pairs": len(train), "holdout_pairs": len(hold)}
-    for epoch in range(config.epochs):
+    for epoch in range(config.score_epochs):
         perm = rng.permutation(len(train))
         total = 0.0
-        for lo in range(0, len(train), config.batch_size):
-            batch = [train[i] for i in perm[lo:lo + config.batch_size]]
+        for lo in range(0, len(train), config.score_batch):
+            batch = [train[i] for i in perm[lo:lo + config.score_batch]]
             ad.zero_grad(trainable.values())
             loss = scorer_loss(batch, scorer, params, config)
             ad.backward(loss)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from trajdiff import data, diffusion, encoder, scoring
+from trajdiff.config import Config
 
 CORPUS_SCENARIO = "t-intersection"
 CORPUS_SIZE = 3000
@@ -34,7 +35,7 @@ def _trained_scorer(world, kind):
     pairs = data.make_pairs(world["train"], data.ConstraintAnnotator(kind),
                             PAIR_FRACTION, seed=PAIR_SEEDS[kind])
     enc = encoder.init_encoder(seed=0)
-    cfg = scoring.ScoreTrainConfig(seed=0, epochs=SCORE_EPOCHS)
+    cfg = Config(seed=0, score_epochs=SCORE_EPOCHS)
     t0 = time.perf_counter()
     scorer, report = scoring.train_scorer(pairs, enc, cfg)
     report["train_seconds"] = time.perf_counter() - t0
@@ -71,7 +72,7 @@ def ddpm_schedule():
 
 
 def _trained_model(world, enc, scores, schedule):
-    cfg = diffusion.DiffusionTrainConfig(epochs=DIFFUSION_EPOCHS, seed=0)
+    cfg = Config(diffusion_epochs=DIFFUSION_EPOCHS, seed=0)
     den, report = diffusion.train_diffusion(world["corpus"], scores, enc,
                                             schedule, cfg)
     return {"encoder": enc, "denoiser": den, "schedule": schedule,

@@ -16,6 +16,7 @@ import pytest
 
 from trajdiff import data, diffusion, encoder, evaluate, scoring
 from trajdiff.cli import main as cli_main
+from trajdiff.config import Config
 
 import test_autodiff as autodiff_cases
 import test_checkpoint as checkpoint_cases
@@ -96,7 +97,8 @@ def test_criterion_03_preference_identities(world):
                             0.02, seed=7)
     enc = encoder.init_encoder(seed=0)
     zero = scoring.init_scorer(enc.feature_dim, m=12, zero=True)
-    loss = float(scoring.mle_loss(pairs, zero, enc).value.reshape(-1)[0])
+    loss = float(scoring.scorer_loss(pairs, zero, enc, Config(lam=0.0))
+                 .value.reshape(-1)[0])
     want = len(pairs) * math.log(2.0)
     uniform_ok = abs(loss - want) <= 1e-9
 
@@ -114,8 +116,8 @@ def test_criterion_04_entropy_regularization(slow_scorer):
     stds = {}
     for lam in (0.0, 0.1):
         enc = encoder.init_encoder(seed=0)
-        cfg = scoring.ScoreTrainConfig(lam=lam, epochs=3, seed=0,
-                                       normalize_entropy=False)
+        cfg = Config(lam=lam, score_epochs=3, seed=0,
+                     normalize_entropy=False)
         _, rep = scoring.train_scorer(pairs, enc, cfg)
         stds[lam] = rep["holdout_score_std"]
     spread_ok = stds[0.1] > stds[0.0]

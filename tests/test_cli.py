@@ -1,12 +1,14 @@
 """Tests for the command-line pipeline and configuration loading."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from trajdiff import checkpoint, config, data
-from trajdiff.cli import load_scores_csv, main
+from trajdiff.cli import main
+from trajdiff.data import load_scores_csv
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +41,7 @@ def test_config_rejects_bad_ranges():
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     cfg = config.from_dict({"T": 25, "scorer_hidden": [8, 4]})
-    config.save_config(cfg, path)
+    path.write_text(json.dumps(cfg.to_dict()))
     again = config.load_config(path)
     assert again == cfg and again.scorer_hidden == (8, 4)
 
@@ -268,8 +270,9 @@ def test_bad_config_exit_code(pipeline, tmp_path):
     assert rc == 2
 
 
-def _corrupt_corpus(src, dst, edit_header=None, edit_record=None, raw=None):
-    """Copy the header and first record of a corpus, edited in place."""
+def _corrupt_records(src, dst, edit_header=None, edit_record=None, raw=None):
+    """Copy the header and first record of a corpus or pairs file, edited
+    in place."""
     lines = open(src).read().splitlines()
     header, rec = json.loads(lines[0]), json.loads(lines[1])
     if edit_header:
@@ -296,7 +299,7 @@ def _corrupt_corpus(src, dst, edit_header=None, edit_record=None, raw=None):
 def test_malformed_corpus_is_a_data_error(pipeline, tmp_path, capsys, case,
                                           edit_header, edit_record, raw, where):
     bad = tmp_path / "bad.jsonl"
-    _corrupt_corpus(pipeline["corpus"], bad, edit_header, edit_record, raw)
+    _corrupt_records(pipeline["corpus"], bad, edit_header, edit_record, raw)
     capsys.readouterr()
     rc = main(["make-pairs", "--corpus", str(bad), "--constraint", "slow-down",
                "--out", str(tmp_path / "p.jsonl")])
@@ -319,3 +322,178 @@ def test_non_finite_denoiser_weight_is_a_numerics_error(pipeline, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert rc == 4
     assert len(err) == 1 and "kind=numerics" in err[0], err
+
+
+@pytest.mark.parametrize("case, edit_header, edit_record, raw, where", [
+    ("missing label", None, lambda r: r.pop("label"), None, "line 2"),
+    ("missing future_a", None, lambda r: r.pop("future_a"), None, "line 2"),
+    ("ragged history", None,
+     lambda r: r.__setitem__("history", [[0.0, 1.0], [2.0]]), None, "line 2"),
+    ("neighbors not a list", None,
+     lambda r: r.__setitem__("neighbors", 5), None, "line 2"),
+    ("record not an object", None, None, "[1, 2]", "line 2"),
+    ("label out of range", None, lambda r: r.__setitem__("label", 2), None,
+     "line 2"),
+    ("history with three columns", None,
+     lambda r: r.__setitem__("history", [[0.0, 1.0, 2.0]] * 8), None,
+     "line 2"),
+    ("futures of unequal length", None,
+     lambda r: r.__setitem__("future_b", r["future_b"][:5]), None, "line 2"),
+])
+def test_malformed_pairs_is_a_data_error(pipeline, tmp_path, capsys, case,
+                                         edit_header, edit_record, raw, where):
+    bad = tmp_path / "bad.jsonl"
+    _corrupt_records(pipeline["pairs"], bad, edit_header, edit_record, raw)
+    capsys.readouterr()
+    rc = main(["train-score", "--pairs", str(bad),
+               "--out", str(tmp_path / "s.ckpt")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3, case
+    assert len(err) == 1, err
+    assert "kind=data" in err[0] and f"bad.jsonl: {where}" in err[0]
+
+
+def test_pairs_track_lengths_must_match_the_first_record(pipeline, tmp_path,
+                                                        capsys):
+    bad = tmp_path / "bad.jsonl"
+    lines = open(pipeline["pairs"]).read().splitlines()
+    rec = json.loads(lines[2])
+    rec["history"] = rec["history"][:5]
+    bad.write_text("\n".join([lines[0], lines[1], json.dumps(rec)]) + "\n")
+    capsys.readouterr()
+    rc = main(["train-score", "--pairs", str(bad),
+               "--out", str(tmp_path / "s.ckpt")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert len(err) == 1 and "bad.jsonl: line 3" in err[0], err
+
+
+def test_pairs_header_not_an_object_is_a_data_error(pipeline, tmp_path,
+                                                    capsys):
+    bad = tmp_path / "bad.jsonl"
+    lines = open(pipeline["pairs"]).read().splitlines()
+    bad.write_text("[1, 2]\n" + lines[1] + "\n")
+    capsys.readouterr()
+    rc = main(["train-score", "--pairs", str(bad),
+               "--out", str(tmp_path / "s.ckpt")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert len(err) == 1 and "not a pairs file" in err[0], err
+
+
+def _edit_checkpoint_meta(blob, edit):
+    """Checkpoint bytes with the JSON meta replaced by edit(meta bytes)."""
+    (size,) = struct.unpack_from("<Q", blob, 8)
+    meta = edit(blob[16:16 + size])
+    return blob[:8] + struct.pack("<Q", len(meta)) + meta + blob[16 + size:]
+
+
+def _drop_meta_key(key):
+    def edit(meta):
+        d = json.loads(meta)
+        del d[key]
+        return json.dumps(d).encode()
+    return edit
+
+
+@pytest.mark.parametrize("case, edit, reason", [
+    ("bad JSON", lambda m: b"x" + m[1:], "corrupt checkpoint header"),
+    ("bad UTF-8", lambda m: m[:1] + b"\xff" + m[2:],
+     "corrupt checkpoint header"),
+    ("missing dt", _drop_meta_key("dt"), "missing field 'dt'"),
+    ("missing denoiser", _drop_meta_key("denoiser"),
+     "missing field 'denoiser'"),
+])
+def test_corrupt_checkpoint_header_is_a_data_error(pipeline, tmp_path, capsys,
+                                                   case, edit, reason):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_edit_checkpoint_meta(
+        open(pipeline["model"], "rb").read(), edit))
+    capsys.readouterr()
+    rc = main(["predict", "--checkpoint", str(bad), "--corpus",
+               pipeline["corpus"], "--c", "0.5", "--n-s", "2",
+               "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3, case
+    assert len(err) == 1, err
+    assert "kind=data" in err[0] and reason in err[0], err
+
+
+def test_checkpoint_with_dropped_config_keys_predicts(pipeline, tmp_path):
+    # checkpoints written before n_c, n_s and pair_fraction left the config
+    # still carry them; they load and sample exactly like current ones
+    def add_old_keys(meta):
+        d = json.loads(meta)
+        d["config"].update(n_c=20, n_s=20, pair_fraction=0.01)
+        return json.dumps(d, sort_keys=True, separators=(",", ":")).encode()
+
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(_edit_checkpoint_meta(
+        open(pipeline["model"], "rb").read(), add_old_keys))
+    assert checkpoint.load_bundle(old).config["n_c"] == 20
+    argv = ["predict", "--corpus", pipeline["corpus"], "--c", "0.4",
+            "--n-s", "3", "--seed", "2"]
+    assert main(argv + ["--checkpoint", str(old),
+                        "--out", str(tmp_path / "old.csv")]) == 0
+    assert main(argv + ["--checkpoint", pipeline["model"],
+                        "--out", str(tmp_path / "new.csv")]) == 0
+    assert ((tmp_path / "old.csv").read_bytes()
+            == (tmp_path / "new.csv").read_bytes())
+
+
+# One malformed call per subcommand: a bad integer, a missing file or a
+# zero count, with the exit code it must give.  "{missing}" stands for a
+# path that does not exist; argument errors win over missing files.
+CONTRACT_CASES = {
+    "gen-data bad --count": (2, [
+        "gen-data", "--scenario", "t-intersection", "--count", "abc"]),
+    "import-ethucy missing --input": (3, [
+        "import-ethucy", "--input", "{missing}", "--scene", "eth"]),
+    "make-pairs missing --corpus": (3, [
+        "make-pairs", "--corpus", "{missing}", "--constraint", "slow-down"]),
+    "train-score missing --pairs": (3, [
+        "train-score", "--pairs", "{missing}"]),
+    "score-corpus missing --checkpoint": (3, [
+        "score-corpus", "--checkpoint", "{missing}", "--corpus", "{missing}"]),
+    "train-diffusion missing --checkpoint": (3, [
+        "train-diffusion", "--checkpoint", "{missing}", "--corpus",
+        "{missing}", "--scores", "{missing}"]),
+    "predict zero --n-s": (2, [
+        "predict", "--checkpoint", "{missing}", "--corpus", "{missing}",
+        "--c", "0.5", "--n-s", "0"]),
+    "predict bad --n-s": (2, [
+        "predict", "--checkpoint", "{missing}", "--corpus", "{missing}",
+        "--c", "0.5", "--n-s", "abc"]),
+    "eval zero --n-c": (2, [
+        "eval", "--checkpoint", "{missing}", "--corpus", "{missing}",
+        "--n-c", "0"]),
+    "eval zero --limit": (2, [
+        "eval", "--checkpoint", "{missing}", "--corpus", "{missing}",
+        "--limit", "0"]),
+    "sweep zero --n-s": (2, [
+        "sweep", "--checkpoint", "{missing}", "--corpus", "{missing}",
+        "--kind", "adherence", "--n-s", "0"]),
+    "sweep zero --limit": (2, [
+        "sweep", "--checkpoint", "{missing}", "--corpus", "{missing}",
+        "--kind", "ablation", "--limit", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_every_subcommand_fails_with_one_structured_line(tmp_path, capsys,
+                                                        case):
+    want, argv = CONTRACT_CASES[case]
+    out = tmp_path / "out"
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    capsys.readouterr()
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == want, case
+    assert len(err) == 1, err
+    assert err[0].startswith(f"trajdiff: error code={rc} "), err
+    assert not out.exists()
+
+
+def test_help_still_exits_zero(capsys):
+    assert main(["eval", "--help"]) == 0
+    assert "--n-c" in capsys.readouterr().out

@@ -7,6 +7,7 @@ import pytest
 
 from trajdiff import autodiff as ad
 from trajdiff import data, diffusion, encoder
+from trajdiff.config import Config
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,7 @@ def test_train_initial_loss_near_expected_noise_power(small_world):
     assert 0.8 * 24.0 < direct < 1.2 * 24.0
     # a first epoch at a vanishing step size reports the same quantity
     sched = diffusion.make_schedule()
-    cfg = diffusion.DiffusionTrainConfig(epochs=1, lr=1e-7, seed=0)
+    cfg = Config(diffusion_epochs=1, diffusion_lr=1e-7, seed=0)
     _, report = diffusion.train_diffusion(corpus, scores, enc, sched, cfg)
     loss = report["epochs"][0]["loss"]
     assert 0.8 * 24.0 < loss < 1.2 * 24.0
@@ -207,7 +208,7 @@ def test_train_initial_loss_near_expected_noise_power(small_world):
 def test_train_loss_decreases(small_world):
     corpus, enc, scores = small_world
     sched = diffusion.make_schedule()
-    cfg = diffusion.DiffusionTrainConfig(epochs=10, lr=5e-4, seed=0)
+    cfg = Config(diffusion_epochs=10, diffusion_lr=5e-4, seed=0)
     _, report = diffusion.train_diffusion(corpus, scores, enc, sched, cfg)
     losses = [e["loss"] for e in report["epochs"]]
     assert len(losses) == 10
@@ -217,7 +218,7 @@ def test_train_loss_decreases(small_world):
 def test_train_deterministic(small_world):
     corpus, enc, scores = small_world
     sched = diffusion.make_schedule()
-    cfg = diffusion.DiffusionTrainConfig(epochs=2, seed=9)
+    cfg = Config(diffusion_epochs=2, seed=9)
     p1, r1 = diffusion.train_diffusion(corpus, scores, enc, sched, cfg)
     p2, r2 = diffusion.train_diffusion(corpus, scores, enc, sched, cfg)
     assert r1 == r2
@@ -229,11 +230,11 @@ def test_train_holds_out_test_split(small_world):
     corpus, enc, scores = small_world
     train, test = data.split_corpus(corpus)
     sched = diffusion.make_schedule()
-    cfg = diffusion.DiffusionTrainConfig(epochs=0)
+    cfg = Config(diffusion_epochs=0)
     _, held = diffusion.train_diffusion(corpus, scores, enc, sched, cfg)
     assert held["trained_on"] == len(train.trajectories)
-    cfg_all = diffusion.DiffusionTrainConfig(epochs=0, use_all_data=True)
-    _, full = diffusion.train_diffusion(corpus, scores, enc, sched, cfg_all)
+    _, full = diffusion.train_diffusion(corpus, scores, enc, sched, cfg,
+                                      use_all_data=True)
     assert full["trained_on"] == len(corpus.trajectories)
 
 
@@ -243,7 +244,7 @@ def test_train_rejects_missing_score(small_world):
     train, _ = data.split_corpus(corpus)
     del partial[train.trajectories[0].id]
     sched = diffusion.make_schedule()
-    cfg = diffusion.DiffusionTrainConfig(epochs=1)
+    cfg = Config(diffusion_epochs=1)
     with pytest.raises(ValueError, match="missing score"):
         diffusion.train_diffusion(corpus, partial, enc, sched, cfg)
 
@@ -252,7 +253,7 @@ def test_train_infers_score_width_and_scale(small_world):
     corpus, enc, scores = small_world
     two = {k: np.array([v, 1.0 - v]) for k, v in scores.items()}
     sched = diffusion.make_schedule()
-    cfg = diffusion.DiffusionTrainConfig(epochs=0)
+    cfg = Config(diffusion_epochs=0)
     p, report = diffusion.train_diffusion(corpus, two, enc, sched, cfg)
     assert p.n_scores == 2
     assert p.scale > 0.0 and report["scale"] == p.scale
@@ -381,7 +382,7 @@ def test_conditioning_changes_samples_after_training(small_world):
     # deterministic reverse trajectory from a shared y_T.
     corpus, enc, scores = small_world
     sched = diffusion.make_schedule()
-    cfg = diffusion.DiffusionTrainConfig(epochs=3, seed=0)
+    cfg = Config(diffusion_epochs=3, seed=0)
     p, _ = diffusion.train_diffusion(corpus, scores, enc, sched, cfg)
     t0 = corpus.trajectories[0]
     f = encoder.encode(t0.history, t0.neighbors, enc)

@@ -216,11 +216,6 @@ def test_metric_csv_roundtrip(tmp_path):
     fields = lines[2].split(",")
     assert fields[:2] == ["2", "3"]
     assert float(fields[2]) == 1.25 and float(fields[3]) == 2.5
-    ppath = tmp_path / "per_traj.csv"
-    evaluate.write_per_trajectory_csv(ppath, rep)
-    plines = ppath.read_text().splitlines()
-    assert plines[0] == "trajectory_id,min_ade,min_fde"
-    assert plines[1].startswith("7,")
 
 
 def test_adherence_csv(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from trajdiff import data, diffusion, encoder, evaluate
+from trajdiff.config import Config
 
 pytestmark = pytest.mark.slow
 
@@ -72,7 +73,7 @@ def test_shuffled_score_assignment_loses_adherence(world, eval_subsets,
     ids = sorted(slow_scores)
     vals = np.array([slow_scores[i] for i in ids])
     broken = dict(zip(ids, vals[rng.permutation(len(vals))]))
-    cfg = diffusion.DiffusionTrainConfig(epochs=15, seed=0)
+    cfg = Config(diffusion_epochs=15, seed=0)
     den_broken, _ = diffusion.train_diffusion(world["corpus"], broken,
                                               slow_model["encoder"],
                                               slow_model["schedule"], cfg)

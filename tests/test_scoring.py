@@ -7,6 +7,9 @@ import pytest
 
 import trajdiff.autodiff as ad
 from trajdiff import data, encoder, scoring
+from trajdiff.config import Config
+
+NLL_ONLY = Config(lam=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +92,7 @@ def test_mle_uniform_model_is_b_ln2(small_setup):
     _, pairs, params = small_setup
     batch = pairs[:16]
     scorer = scoring.init_scorer(params.feature_dim, zero=True)
-    loss = scoring.mle_loss(batch, scorer, params)
+    loss = scoring.scorer_loss(batch, scorer, params, NLL_ONLY)
     assert abs(float(loss.value[0]) - len(batch) * math.log(2)) < 1e-9
 
 
@@ -97,18 +100,19 @@ def test_mle_empty_batch(small_setup):
     _, _, params = small_setup
     scorer = scoring.init_scorer(params.feature_dim)
     with pytest.raises(ValueError, match="empty"):
-        scoring.mle_loss([], scorer, params)
+        scoring.scorer_loss([], scorer, params, NLL_ONLY)
 
 
 def test_mle_flipped_labels_increase_loss(small_setup):
     _, pairs, params0 = small_setup
     params = encoder.init_encoder(seed=0)
-    cfg = scoring.ScoreTrainConfig(lam=0.0, epochs=8, seed=0)
+    cfg = Config(lam=0.0, score_epochs=8, seed=0)
     scorer, _ = scoring.train_scorer(pairs, params, cfg)
-    normal = float(scoring.mle_loss(pairs, scorer, params).value[0])
+    normal = float(scoring.scorer_loss(pairs, scorer, params, cfg).value[0])
     flipped_pairs = [data.PairwiseSample(p.history, p.future_a, p.future_b,
                                          1 - p.label, p.neighbors) for p in pairs]
-    flipped = float(scoring.mle_loss(flipped_pairs, scorer, params).value[0])
+    flipped = float(scoring.scorer_loss(flipped_pairs, scorer, params,
+                                        cfg).value[0])
     assert flipped > normal
 
 
@@ -176,7 +180,7 @@ def test_entropy_rejects_bad_args():
 def test_train_zero_epochs_keeps_init(small_setup):
     _, pairs, _ = small_setup
     params = encoder.init_encoder(seed=0)
-    cfg = scoring.ScoreTrainConfig(epochs=0, seed=0)
+    cfg = Config(score_epochs=0, seed=0)
     scorer, report = scoring.train_scorer(pairs, params, cfg)
     fresh = scoring.init_scorer(params.feature_dim, m=12, seed=0)
     for k in scorer.weights:
@@ -187,7 +191,7 @@ def test_train_zero_epochs_keeps_init(small_setup):
 def test_train_reaches_holdout_accuracy(small_setup):
     _, pairs, _ = small_setup
     params = encoder.init_encoder(seed=0)
-    cfg = scoring.ScoreTrainConfig(epochs=25, seed=0)
+    cfg = Config(score_epochs=25, seed=0)
     assert len(pairs) <= 60
     scorer, report = scoring.train_scorer(pairs, params, cfg)
     assert report["final_holdout_accuracy"] >= 0.9
@@ -201,8 +205,8 @@ def test_train_entropy_broadens_scores(small_setup):
     stds = {}
     for lam in (0.0, 0.1):
         params = encoder.init_encoder(seed=0)
-        cfg = scoring.ScoreTrainConfig(lam=lam, epochs=3, seed=0,
-                                       normalize_entropy=False)
+        cfg = Config(lam=lam, score_epochs=3, seed=0,
+                     normalize_entropy=False)
         _, report = scoring.train_scorer(pairs, params, cfg)
         stds[lam] = report["holdout_score_std"]
     assert stds[0.1] > stds[0.0]
@@ -213,7 +217,7 @@ def test_train_flipped_labels_cannot_score_well(small_setup):
     flipped = [data.PairwiseSample(p.history, p.future_a, p.future_b,
                                    1 - p.label, p.neighbors) for p in pairs]
     params = encoder.init_encoder(seed=0)
-    cfg = scoring.ScoreTrainConfig(lam=0.0, epochs=10, seed=0)
+    cfg = Config(lam=0.0, score_epochs=10, seed=0)
     scorer_flip, _ = scoring.train_scorer(flipped, params, cfg)
     acc_on_true, _ = scoring._holdout_accuracy(pairs, scorer_flip, params)
     params2 = encoder.init_encoder(seed=0)
@@ -222,25 +226,15 @@ def test_train_flipped_labels_cannot_score_well(small_setup):
     assert acc_on_true < 0.5 < acc_true
 
 
-def test_train_freeze_encoder_leaves_encoder_untouched(small_setup):
-    _, pairs, _ = small_setup
-    params = encoder.init_encoder(seed=0)
-    before = {k: v.value.copy() for k, v in params.weights.items()}
-    cfg = scoring.ScoreTrainConfig(epochs=4, seed=0, freeze_encoder=True)
-    scorer, _ = scoring.train_scorer(pairs, params, cfg)
-    for k, v in params.weights.items():
-        assert np.array_equal(before[k], v.value)
-
-
 def test_config_validation():
-    with pytest.raises(ValueError, match="entropy weight"):
-        scoring.ScoreTrainConfig(lam=-0.1)
-    with pytest.raises(ValueError, match="grid"):
-        scoring.ScoreTrainConfig(entropy_grid=1)
+    with pytest.raises(ValueError, match="lam"):
+        Config(lam=-0.1)
+    with pytest.raises(ValueError, match="entropy_grid"):
+        Config(entropy_grid=1)
     with pytest.raises(ValueError, match="bandwidth"):
-        scoring.ScoreTrainConfig(bandwidth=0.0)
+        Config(bandwidth=0.0)
     with pytest.raises(ValueError, match="holdout"):
-        scoring.ScoreTrainConfig(holdout_fraction=1.0)
+        Config(holdout_fraction=1.0)
 
 
 def test_score_corpus_rows(small_setup):
