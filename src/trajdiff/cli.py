@@ -180,6 +180,13 @@ def cmd_train_diffusion(args):
                              denoiser=den, schedule=sched, constraints=names,
                              config=cfg.to_dict(), m=corpus.m)
     ckpt_mod.save_bundle(args.out, bundle)
+    if args.report:
+        data_mod.write_table(args.report, {
+            "scale": f"{report['scale']:.6f}",
+            "trained_on": report["trained_on"],
+            "constraints": ",".join(names)},
+            "epoch,loss",
+            (f"{row['epoch']},{row['loss']:.6f}" for row in report["epochs"]))
     losses = [e["loss"] for e in report["epochs"]]
     _say(wrote=args.out, constraints=",".join(names),
          trained_on=report["trained_on"],
@@ -343,6 +350,18 @@ def _count(text):
     return value
 
 
+def _positive_float(text):
+    """Rates: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not (0.0 < value < float("inf")):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, "
+                                         f"got {text!r}")
+    return value
+
+
 def build_parser():
     p = _Parser(
         prog="trajdiff",
@@ -357,7 +376,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--scenario", required=True,
                     choices=("t-intersection", "straight-hall"))
-    sp.add_argument("--count", type=int, required=True)
+    sp.add_argument("--count", type=_count, required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_gen_data)
 
@@ -365,8 +384,8 @@ def build_parser():
     common(sp)
     sp.add_argument("--input", required=True)
     sp.add_argument("--scene", required=True)
-    sp.add_argument("--frame-rate", type=float, default=25.0)
-    sp.add_argument("--stride", type=int, default=1)
+    sp.add_argument("--frame-rate", type=_positive_float, default=25.0)
+    sp.add_argument("--stride", type=_count, default=1)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_import_ethucy)
 
@@ -404,6 +423,7 @@ def build_parser():
                          "the conditioning channels")
     sp.add_argument("--all-data", action="store_true",
                     help="train on the held-out split too")
+    sp.add_argument("--report", help="write per-epoch loss CSV here")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_train_diffusion)
 

@@ -91,6 +91,22 @@ def _check_histories(histories, neighbor_lists, params):
     return histories
 
 
+def _neighbor_tracks(histories, neighbor_lists, params):
+    """Per history, its neighbour tracks as offsets from the ego track, in
+    canonical order."""
+    out = []
+    for hist, nbrs in zip(histories, neighbor_lists):
+        rels = []
+        for q in nbrs:
+            q = np.asarray(q, dtype=float)
+            if q.shape != (params.n, 2):
+                raise ad.ShapeError(f"encode: neighbor shape {q.shape}, "
+                                    f"expected ({params.n}, 2)")
+            rels.append(q - hist)
+        out.append([rels[k] for k in _canonical_neighbor_order(rels)])
+    return out
+
+
 def _neighbor_layout(histories, neighbor_lists, params):
     """Stack every neighbour track (canonical order within each history).
 
@@ -98,25 +114,16 @@ def _neighbor_layout(histories, neighbor_lists, params):
     without neighbours, and the (B, N) averaging matrix that mean-pools each
     history's neighbour summaries.
     """
-    flat, weights_rows = [], []
-    for i, nbrs in enumerate(neighbor_lists):
-        rels = []
-        for q in nbrs:
-            q = np.asarray(q, dtype=float)
-            if q.shape != (params.n, 2):
-                raise ad.ShapeError(f"encode: neighbor shape {q.shape}, "
-                                    f"expected ({params.n}, 2)")
-            rels.append(q - histories[i])
-        for k in _canonical_neighbor_order(rels):
-            flat.append(rels[k])
-            weights_rows.append(i)
+    tracks = _neighbor_tracks(histories, neighbor_lists, params)
+    flat = [rel for rels in tracks for rel in rels]
     if not flat:
         return None, None
-    bsz = histories.shape[0]
-    mix = np.zeros((bsz, len(flat)))
-    counts = np.bincount(weights_rows, minlength=bsz)
-    for j, i in enumerate(weights_rows):
-        mix[i, j] = 1.0 / counts[i]
+    mix = np.zeros((len(tracks), len(flat)))
+    j = 0
+    for i, rels in enumerate(tracks):
+        if rels:
+            mix[i, j:j + len(rels)] = 1.0 / len(rels)
+            j += len(rels)
     return np.stack(flat), mix
 
 
@@ -148,16 +155,20 @@ def encode_batch(histories, neighbor_lists, params):
 # graph-free forward: the same numpy kernels in the same order, no graph
 
 def _gru_values(inputs, w, prefix, hid):
-    """Plain-array twin of :func:`_gru_sequence` (same gate order and ops)."""
+    """Plain-array twin of :func:`_gru_sequence` (same gate order and ops).
+
+    ``inputs`` is (..., rows, steps, din); leading axes stack independent
+    items, and numpy runs each item's (rows, din) product as it would alone.
+    """
     wx, wh, b = (w[f"{prefix}.{k}"].value for k in ("wx", "wh", "b"))
-    h = np.zeros((inputs.shape[0], hid))
-    for t in range(inputs.shape[1]):
-        gx = np.ascontiguousarray(inputs[:, t, :]) @ wx
+    h = np.zeros(inputs.shape[:-2] + (hid,))
+    for t in range(inputs.shape[-2]):
+        gx = np.ascontiguousarray(inputs[..., t, :]) @ wx
         gx += b
         gh = h @ wh
-        z = ad.sigmoid_values(gx[:, :hid] + gh[:, :hid])
-        r = ad.sigmoid_values(gx[:, hid:2 * hid] + gh[:, hid:2 * hid])
-        c = np.tanh(gx[:, 2 * hid:] + r * gh[:, 2 * hid:])
+        z = ad.sigmoid_values(gx[..., :hid] + gh[..., :hid])
+        r = ad.sigmoid_values(gx[..., hid:2 * hid] + gh[..., hid:2 * hid])
+        c = np.tanh(gx[..., 2 * hid:] + r * gh[..., 2 * hid:])
         h = (1.0 - z) * h + z * c
     return h
 
@@ -176,9 +187,35 @@ def features(histories, neighbor_lists, params):
     return np.concatenate([h_ego, agg], axis=1)
 
 
+def encode_many(histories, neighbor_lists, params):
+    """Per-history features for B histories at once: a plain (B, d_e + d_n)
+    array, row i equal bit for bit to ``encode(histories[i], ...)``.
+
+    Each history's operands are stacked on a leading axis, so numpy runs the
+    same per-history products that a one-history call runs; a 2-D batch
+    would run one GEMM across histories and round differently.  Histories
+    with k neighbours share one (G, k, n, 2) stack.
+    """
+    histories = _check_histories(histories, neighbor_lists, params)
+    w = params.weights
+    h_ego = _gru_values(_ego_inputs(histories, params.dt)[:, None], w,
+                        "enc.ego", params.d_e)[:, 0]
+    agg = np.zeros((histories.shape[0], params.d_n))
+    tracks = _neighbor_tracks(histories, neighbor_lists, params)
+    by_count = {}
+    for i, rels in enumerate(tracks):
+        if rels:
+            by_count.setdefault(len(rels), []).append(i)
+    for k, rows in by_count.items():
+        h = _gru_values(np.stack([np.stack(tracks[i]) for i in rows]), w,
+                        "enc.edge", params.d_n)
+        agg[rows] = (np.full((len(rows), 1, k), 1.0 / k) @ h)[:, 0]
+    return np.concatenate([h_ego, agg], axis=1)
+
+
 def encode(history, neighbors, params):
     """Feature vector of length d_e + d_n for a single history."""
     history = np.asarray(history, dtype=float)
     if history.ndim != 2:
         raise ad.ShapeError(f"encode: history shape {history.shape}, expected (n, 2)")
-    return features(history[None], [list(neighbors)], params)[0]
+    return encode_many(history[None], [list(neighbors)], params)[0]

@@ -71,6 +71,29 @@ def score_features(feats, rel_futures, params):
     return _mlp(x, params)
 
 
+def score_many(feats, rel_futures, params):
+    """Scores (B,) for B (feature, ego-relative future) pairs on plain arrays.
+
+    Each pair runs as its own (1, K) row on a leading axis, so every score
+    equals bit for bit the one :func:`score` gives for that pair alone.
+    """
+    feats = np.asarray(feats, dtype=float)
+    flat = _check_futures(rel_futures, params)
+    if feats.shape != (flat.shape[0], params.feature_dim):
+        raise ad.ShapeError(f"score: features shape {feats.shape}, "
+                            f"expected ({flat.shape[0]}, {params.feature_dim})")
+    h = np.concatenate([feats, flat], axis=1)[:, None, :]
+    w = params.weights
+    depth = len(params.hidden)
+    for i in range(depth):
+        h = h @ w[f"score.w{i}"].value
+        h += w[f"score.b{i}"].value
+        ad.leaky_relu_values(h, out=h)
+    out = h @ w[f"score.w{depth}"].value
+    out += w[f"score.b{depth}"].value
+    return ad.sigmoid_values(out)[:, 0, 0]
+
+
 def score(f, future, params):
     """Score one (feature, ego-relative future) pair; deterministic scalar.
 
@@ -80,17 +103,8 @@ def score(f, future, params):
     if f.shape != (params.feature_dim,):
         raise ad.ShapeError(f"score: feature shape {f.shape}, "
                             f"expected ({params.feature_dim},)")
-    flat = _check_futures(np.asarray(future, dtype=float)[None], params)
-    h = np.concatenate([f[None], flat], axis=1)
-    w = params.weights
-    depth = len(params.hidden)
-    for i in range(depth):
-        h = h @ w[f"score.w{i}"].value
-        h += w[f"score.b{i}"].value
-        ad.leaky_relu_values(h, out=h)
-    out = h @ w[f"score.w{depth}"].value
-    out += w[f"score.b{depth}"].value
-    return float(ad.sigmoid_values(out)[0, 0])
+    return float(score_many(f[None], np.asarray(future, dtype=float)[None],
+                            params)[0])
 
 
 def btl_prob(s_a, s_b):
@@ -229,13 +243,15 @@ def train_scorer(pairs, params, config):
 def score_corpus(corpus, scorer, params):
     """Score every trajectory's own future; returns list of (id, score).
 
-    Runs one trajectory at a time through the graph-free encoder and
-    scorer: a batched GEMM may round rows differently, and score tables
-    must stay byte-identical for a given checkpoint.
+    One :func:`encoder.encode_many` call and one :func:`score_many` call
+    score the whole corpus.  Both stack per-trajectory operands on a leading
+    axis instead of forming a 2-D batch, so each score is bit-identical to
+    scoring that trajectory alone and score tables stay byte-identical for
+    a given checkpoint.
     """
-    out = []
-    for traj in corpus.trajectories:
-        f = enc_mod.encode(traj.history, traj.neighbors, params)
-        rel = traj.future - traj.history[-1]
-        out.append((traj.id, score(f, rel, scorer)))
-    return out
+    trajs = corpus.trajectories
+    feats = enc_mod.encode_many(np.stack([t.history for t in trajs]),
+                                [t.neighbors for t in trajs], params)
+    rel = np.stack([t.future - t.history[-1] for t in trajs])
+    return [(t.id, float(s))
+            for t, s in zip(trajs, score_many(feats, rel, scorer))]

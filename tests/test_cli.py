@@ -89,6 +89,24 @@ def pipeline(tmp_path_factory):
     return paths
 
 
+def test_train_diffusion_report_leaves_checkpoint_unchanged(pipeline,
+                                                             tmp_path):
+    model, report = tmp_path / "model.ckpt", tmp_path / "loss.csv"
+    assert main(["train-diffusion", "--checkpoint", pipeline["scorer"],
+                 "--corpus", pipeline["corpus"], "--scores", pipeline["scores"],
+                 "--out", str(model), "--config", pipeline["config"],
+                 "--report", str(report)]) == 0
+    assert model.read_bytes() == open(pipeline["model"], "rb").read()
+    lines = report.read_text().splitlines()
+    meta = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+    assert sorted(meta) == ["constraints", "scale", "trained_on"]
+    assert meta["constraints"] == "slow-down"
+    body = [ln for ln in lines if not ln.startswith("#")]
+    assert body[0] == "epoch,loss"
+    assert [row.split(",")[0] for row in body[1:]] == ["0"]   # 1 epoch
+    assert float(body[1].split(",")[1]) > 0.0
+
+
 def test_gen_data_deterministic(pipeline, tmp_path):
     out1, out2 = tmp_path / "c1.jsonl", tmp_path / "c2.jsonl"
     argv = ["gen-data", "--scenario", "t-intersection", "--count", "100",
@@ -443,10 +461,22 @@ def test_checkpoint_with_dropped_config_keys_predicts(pipeline, tmp_path):
 
 # One malformed call per subcommand: a bad integer, a missing file or a
 # zero count, with the exit code it must give.  "{missing}" stands for a
-# path that does not exist; argument errors win over missing files.
+# path that does not exist and "{ethucy}" for a valid annotation file;
+# argument errors win over missing files and name the flag.
 CONTRACT_CASES = {
     "gen-data bad --count": (2, [
         "gen-data", "--scenario", "t-intersection", "--count", "abc"]),
+    "gen-data zero --count": (2, [
+        "gen-data", "--scenario", "t-intersection", "--count", "0"]),
+    "import-ethucy zero --frame-rate": (2, [
+        "import-ethucy", "--input", "{ethucy}", "--scene", "eth",
+        "--frame-rate", "0"]),
+    "import-ethucy nan --frame-rate": (2, [
+        "import-ethucy", "--input", "{ethucy}", "--scene", "eth",
+        "--frame-rate", "nan"]),
+    "import-ethucy zero --stride": (2, [
+        "import-ethucy", "--input", "{ethucy}", "--scene", "eth",
+        "--stride", "0"]),
     "import-ethucy missing --input": (3, [
         "import-ethucy", "--input", "{missing}", "--scene", "eth"]),
     "make-pairs missing --corpus": (3, [
@@ -484,13 +514,18 @@ def test_every_subcommand_fails_with_one_structured_line(tmp_path, capsys,
                                                         case):
     want, argv = CONTRACT_CASES[case]
     out = tmp_path / "out"
-    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    ethucy = tmp_path / "eth.txt"
+    ethucy.write_text("0 1 0.0 0.0\n10 1 0.4 0.0\n20 1 0.8 0.0\n")
+    argv = [a.format(missing=tmp_path / "missing", ethucy=ethucy)
+            for a in argv]
     capsys.readouterr()
     rc = main(argv + ["--out", str(out)])
     err = capsys.readouterr().err.splitlines()
     assert rc == want, case
     assert len(err) == 1, err
     assert err[0].startswith(f"trajdiff: error code={rc} "), err
+    if rc == 2:
+        assert case.split()[-1] in err[0], err
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import trajdiff.autodiff as ad
-from trajdiff import diffusion, encoder, scoring
+from trajdiff import data, diffusion, encoder, scoring
 
 T = 100
 
@@ -123,3 +123,73 @@ def test_scorer_matches_autodiff(enc):
         fut = rng.standard_normal((12, 2))
         ref = scoring.score_features(ad.constant(f[None]), fut[None], scorer)
         assert scoring.score(f, fut, scorer) == float(ref.value[0, 0])
+
+
+def _random_encoder(seed):
+    enc = encoder.init_encoder(seed=seed)
+    _random_weights(enc.weights, np.random.default_rng(seed), scale=0.5)
+    return enc
+
+
+def test_encode_many_matches_encode_batch_per_history():
+    enc = _random_encoder(40)
+    rng = np.random.default_rng(41)
+    counts = (2, 0, 3, 1, 2, 0, 2)
+    hists = np.stack([_track(rng) for _ in counts])
+    nbrs = [[_track(rng) for _ in range(k)] for k in counts]
+    many = encoder.encode_many(hists, nbrs, enc)
+    shuffled = encoder.encode_many(hists, [q[::-1] for q in nbrs], enc)
+    for i in range(len(counts)):
+        ref = encoder.encode_batch(hists[i][None], [nbrs[i]], enc).value[0]
+        assert np.array_equal(many[i], ref)
+        assert np.array_equal(shuffled[i], ref)
+
+
+def test_score_corpus_matches_per_trajectory_autodiff():
+    # neighbour counts 0..3, with 3 occurring once, so that a count group of
+    # one history and groups of several are both exercised
+    enc = _random_encoder(50)
+    scorer = scoring.init_scorer(enc.feature_dim, m=12, seed=3)
+    rng = np.random.default_rng(51)
+    _random_weights(scorer.weights, rng, scale=0.5)
+    trajs = [data.Trajectory(id=10 + i, history=_track(rng),
+                             future=_track(rng, 12) + 1.0,
+                             neighbors=[_track(rng) for _ in range(k)])
+             for i, k in enumerate((0, 1, 2, 1, 3, 2, 0, 2, 1))]
+    corpus = data.Corpus(trajs, {"n": 8, "m": 12, "dt": 0.4})
+    rows = scoring.score_corpus(corpus, scorer, enc)
+    assert [tid for tid, _ in rows] == [t.id for t in trajs]
+    for t, (_, got) in zip(trajs, rows):
+        feats = encoder.encode_batch(t.history[None], [t.neighbors], enc)
+        rel = (t.future - t.history[-1])[None]
+        ref = scoring.score_features(feats, rel, scorer).value[0, 0]
+        assert got == ref
+    assert len({s for _, s in rows}) == len(rows)
+
+
+def test_score_many_keeps_shape_checks(enc):
+    scorer = scoring.init_scorer(enc.feature_dim, m=12, seed=3)
+    with pytest.raises(ad.ShapeError):
+        scoring.score_many(np.zeros((2, enc.feature_dim)),
+                           np.zeros((3, 12, 2)), scorer)
+    with pytest.raises(ad.ShapeError):
+        scoring.score_many(np.zeros((2, 5)), np.zeros((2, 12, 2)), scorer)
+    with pytest.raises(ad.ShapeError):
+        scoring.score_many(np.zeros((2, enc.feature_dim)),
+                           np.zeros((2, 7, 2)), scorer)
+
+
+def test_frozen_features_match_autodiff_chunk_by_chunk():
+    # training conditions still come from the 2-D batch forward, in chunks
+    # of 256 histories; 260 histories make a full chunk and a partial one
+    enc = _random_encoder(60)
+    rng = np.random.default_rng(61)
+    trajs = [data.Trajectory(id=i, history=_track(rng), future=_track(rng, 12),
+                             neighbors=[_track(rng) for _ in range(i % 3)])
+             for i in range(260)]
+    got = diffusion._frozen_features(trajs, enc)
+    for lo in (0, 256):
+        part = trajs[lo:lo + 256]
+        ref = encoder.encode_batch(np.stack([t.history for t in part]),
+                                   [t.neighbors for t in part], enc).value
+        assert np.array_equal(got[lo:lo + 256], ref)
