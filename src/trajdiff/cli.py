@@ -6,6 +6,7 @@ failures print one machine-parseable line to stderr.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -213,19 +214,14 @@ def cmd_predict(args):
         traj = min(corpus.trajectories, key=lambda t: t.id)
     seed = args.seed if args.seed is not None else 0
     f = enc_mod.encode(traj.history, traj.neighbors, bundle.encoder)
-    conds = diffusion.conditions(f, args.c, args.n_s)
-    origins = np.broadcast_to(traj.history[-1], (args.n_s, 2)).copy()
-    rng = np.random.default_rng(seed)
-    futures = diffusion.sample_batch(conds, bundle.schedule, den, rng,
-                                     args.mode, origins)
-    with open(args.out, "w") as fh:
-        fh.write(f"# trajectory_id={traj.id}\n")
-        fh.write(f"# c={','.join(f'{c:g}' for c in args.c)}\n")
-        fh.write(f"# n_s={args.n_s} seed={seed} mode={args.mode}\n")
-        fh.write("sample,step,x,y\n")
-        for si, fut in enumerate(futures):
-            for k, (x, y) in enumerate(fut):
-                fh.write(f"{si},{k},{x:.6f},{y:.6f}\n")
+    futures = diffusion.sample_batch(
+        f[None], args.c, args.n_s, traj.history[-1:], bundle.schedule, den,
+        [np.random.default_rng(seed)], args.mode)[0, 0]
+    data_mod.write_table(args.out, {
+        "trajectory_id": traj.id, "c": ",".join(f"{c:g}" for c in args.c),
+        "n_s": args.n_s, "seed": seed, "mode": args.mode}, "sample,step,x,y",
+        (f"{si},{k},{x:.6f},{y:.6f}"
+         for si, fut in enumerate(futures) for k, (x, y) in enumerate(fut)))
     if args.svg:
         svg_mod.trajectory_overlay(
             args.svg, traj.history, traj.future, list(futures),
@@ -350,16 +346,23 @@ def _count(text):
     return value
 
 
-def _positive_float(text):
-    """Rates: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not (0.0 < value < float("inf")):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, "
-                                         f"got {text!r}")
-    return value
+def _real(accept, expected):
+    """An argparse type for floats that ``accept`` (NaN fails every bound)."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, "
+                                             f"got {text!r}")
+        return value
+    return parse
+
+
+_finite = _real(math.isfinite, "a finite number")
+_positive_float = _real(lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_fraction = _real(lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
 def build_parser():
@@ -394,7 +397,7 @@ def build_parser():
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--constraint", required=True,
                     choices=sorted(data_mod.ANNOTATOR_KINDS))
-    sp.add_argument("--fraction", type=float, default=0.01)
+    sp.add_argument("--fraction", type=_fraction, default=0.01)
     sp.add_argument("--all-splits", action="store_true",
                     help="also draw pairs from the held-out split")
     sp.add_argument("--out", required=True)
@@ -431,7 +434,7 @@ def build_parser():
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--id", type=int, help="trajectory id, default lowest")
-    sp.add_argument("--c", type=float, nargs="+", required=True,
+    sp.add_argument("--c", type=_finite, nargs="+", required=True,
                     help="conditioning value per constraint")
     sp.add_argument("--n-s", type=_count, default=20)
     sp.add_argument("--mode", choices=("ancestral", "paper-mean"),

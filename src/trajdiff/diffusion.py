@@ -57,15 +57,20 @@ def make_schedule(T=100, beta_start=1e-4, beta_end=0.05, kind="linear"):
 
 
 def noise_to_t(y0, t, schedule, eps):
-    """Closed-form forward marginal: sqrt(ab_t) y0 + sqrt(1 - ab_t) eps."""
-    if not 1 <= t <= schedule.T:
-        raise ValueError(f"t={t} outside schedule range 1..{schedule.T}")
+    """Closed-form forward marginal: sqrt(ab_t) y0 + sqrt(1 - ab_t) eps.
+
+    t is one step for the whole batch or a (B,) vector of per-row steps.
+    """
+    t = np.asarray(t)
+    if t.ndim > 1 or np.any(t < 1) or np.any(t > schedule.T):
+        raise ValueError(f"t={t}: need one step or a (B,) vector of steps "
+                         f"in the schedule range 1..{schedule.T}")
     y0 = np.asarray(y0, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if y0.shape != eps.shape:
         raise ValueError(f"y0 shape {y0.shape} != eps shape {eps.shape}")
-    ab = schedule.alpha_bar[t - 1]
-    return math.sqrt(ab) * y0 + math.sqrt(1.0 - ab) * eps
+    ab = schedule.alpha_bar[t - 1].reshape(t.shape + (1,) * (y0.ndim - t.ndim))
+    return np.sqrt(ab) * y0 + np.sqrt(1.0 - ab) * eps
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +294,7 @@ def _frozen_features(trajs, enc_params, chunk=256):
         part = trajs[lo:lo + chunk]
         hists = np.stack([t.history for t in part])
         nbrs = [t.neighbors for t in part]
-        out.append(enc_mod.features(hists, nbrs, enc_params))
+        out.append(enc_mod.encode_batch(hists, nbrs, enc_params).value)
     return np.concatenate(out, axis=0)
 
 
@@ -342,8 +347,7 @@ def train_diffusion(corpus, scores, enc_params, schedule, config,
             b = len(idx)
             ts = rng.integers(1, schedule.T + 1, size=b)
             eps = rng.standard_normal((b, m, 2))
-            ab = schedule.alpha_bar[ts - 1][:, None, None]
-            y_t = np.sqrt(ab) * y0[idx] + np.sqrt(1.0 - ab) * eps
+            y_t = noise_to_t(y0[idx], ts, schedule, eps)
 
             ad.zero_grad(denoiser.weights.values())
             eps_hat = denoise_batch(y_t, conds[idx], ts, denoiser)
@@ -376,39 +380,46 @@ def conditions(feats, scores, n_s):
                           axis=1)
 
 
-def _reverse_chain(y, cond_arr, schedule, params, mode, draw_noise):
-    """Shared reverse loop; draw_noise(b, m) supplies the ancestral noise."""
-    b = cond_arr.shape[0]
+def sample_batch(feats, scores, n_s, origins, schedule, params, rngs,
+                 mode="ancestral"):
+    """Sample n_s futures per (history, score vector) in one reverse chain.
+
+    feats (H, F) are history features, origins (H, 2) the histories' last
+    positions and scores (G, S) the score vectors.  Returns (H, G, n_s, m, 2)
+    futures in world coordinates.  The chain runs on the H * G * n_s rows of
+    :func:`conditions`; each generator in ``rngs`` draws the noise of an
+    equal, contiguous share of them, so one generator gives one stream and
+    one generator per score vector makes each vector's draws independent
+    of the others.  mode "paper-mean" applies the deterministic mean update
+    only; mode "ancestral" adds sqrt(beta_t) noise for every step except
+    the last.
+    """
+    if mode not in ("ancestral", "paper-mean"):
+        raise ValueError(f"unknown sampling mode '{mode}'")
+    origins = np.asarray(origins, dtype=float)
+    if origins.shape != (len(feats), 2):
+        raise ad.ShapeError(f"sample_batch: origins shape {origins.shape}, "
+                            f"expected ({len(feats)}, 2)")
+    cond = conditions(feats, scores, n_s)
+    rows = cond.shape[0]
+    if not rngs or rows % len(rngs):
+        raise ValueError(f"sample_batch: {rows} rows do not split evenly "
+                         f"over {len(rngs)} noise streams")
+    share = (rows // len(rngs), params.m, 2)
+
+    def noise():
+        return np.concatenate([r.standard_normal(share) for r in rngs])
+
+    y = noise()
     for t in range(schedule.T, 0, -1):
-        eps_hat = _denoise(y, cond_arr, np.full(b, t), params)
+        eps_hat = _denoise(y, cond, np.full(rows, t), params)
         beta = schedule.beta[t - 1]
         ab = schedule.alpha_bar[t - 1]
         y = (y - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(schedule.alpha[t - 1])
         if mode == "ancestral" and t > 1:
-            y = y + math.sqrt(beta) * draw_noise(b, params.m)
-    return y
-
-
-def _check_mode(mode):
-    if mode not in ("ancestral", "paper-mean"):
-        raise ValueError(f"unknown sampling mode '{mode}'")
-
-
-def sample_batch(cond_arr, schedule, params, rng, mode="ancestral", origins=None):
-    """Reverse process for B conditions at once; returns (B, m, 2) in meters.
-
-    mode "paper-mean" applies the deterministic mean update only; mode
-    "ancestral" adds sqrt(beta_t) noise for every step except the last.
-    """
-    _check_mode(mode)
-    cond_arr = np.asarray(cond_arr, dtype=float)
-    y = rng.standard_normal((cond_arr.shape[0], params.m, 2))
-    y = _reverse_chain(y, cond_arr, schedule, params, mode,
-                       lambda b, m: rng.standard_normal((b, m, 2)))
-    out = y * params.scale
-    if origins is not None:
-        out = out + np.asarray(origins, dtype=float)[:, None, :]
-    return out
+            y = y + math.sqrt(beta) * noise()
+    y = y.reshape(len(origins), -1, n_s, params.m, 2)
+    return y * params.scale + origins[:, None, None, None, :]
 
 
 def predict_best_of(history, neighbors, enc_params, schedule, params,
@@ -422,25 +433,14 @@ def predict_best_of(history, neighbors, enc_params, schedule, params,
     """
     if n_c < 1 or n_s < 1:
         raise ValueError("predict_best_of: need n_c >= 1 and n_s >= 1")
-    _check_mode(mode)
+    history = np.asarray(history, dtype=float)
     f = enc_mod.encode(history, neighbors, enc_params)
-    origin = np.asarray(history, dtype=float)[-1]
     grid = (np.arange(n_c) + 0.5) / n_c
-    # all grid points share one reverse chain for speed; every grid point
-    # keeps its own noise stream so its draws do not depend on n_c
+    scores = np.repeat(grid[:, None], params.n_scores, axis=1)
+    # one noise stream per grid point, so its draws do not depend on n_c
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, ci)))
             for ci in range(n_c)]
-    conds = conditions(f, np.repeat(grid[:, None], params.n_scores, axis=1), n_s)
-    m = params.m
-
-    def draw_noise(b, _):
-        return np.concatenate([r.standard_normal((n_s, m, 2)) for r in rngs])
-
-    y = draw_noise(n_c * n_s, m)
-    y = _reverse_chain(y, conds, schedule, params, mode, draw_noise)
-    futures = y * params.scale + origin
-    out = []
-    for ci, c in enumerate(grid):
-        for di in range(n_s):
-            out.append((float(c), di, futures[ci * n_s + di]))
-    return out
+    futures = sample_batch(f[None], scores, n_s, history[-1:], schedule,
+                           params, rngs, mode)[0]
+    return [(float(c), di, futures[ci, di])
+            for ci, c in enumerate(grid) for di in range(n_s)]

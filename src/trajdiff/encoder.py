@@ -133,7 +133,7 @@ def encode_batch(histories, neighbor_lists, params):
     Returns a differentiable (B, d_e + d_n) node.  Neighbour tracks are
     expressed as per-step offsets from the ego track, so the whole feature
     is unchanged by translating a scene.  This is the training path and the
-    reference that :func:`features` reproduces bit for bit.
+    reference that :func:`encode_many` reproduces bit for bit per history.
     """
     histories = _check_histories(histories, neighbor_lists, params)
     w = params.weights
@@ -171,20 +171,6 @@ def _gru_values(inputs, w, prefix, hid):
         c = np.tanh(gx[..., 2 * hid:] + r * gh[..., 2 * hid:])
         h = (1.0 - z) * h + z * c
     return h
-
-
-def features(histories, neighbor_lists, params):
-    """Inference twin of :func:`encode_batch`: a plain (B, d_e + d_n) array,
-    bit-identical to ``encode_batch(...).value``."""
-    histories = _check_histories(histories, neighbor_lists, params)
-    w = params.weights
-    h_ego = _gru_values(_ego_inputs(histories, params.dt), w, "enc.ego", params.d_e)
-    seqs, mix = _neighbor_layout(histories, neighbor_lists, params)
-    if seqs is not None:
-        agg = mix @ _gru_values(seqs, w, "enc.edge", params.d_n)
-    else:
-        agg = np.zeros((histories.shape[0], params.d_n))
-    return np.concatenate([h_ego, agg], axis=1)
 
 
 def encode_many(histories, neighbor_lists, params):

@@ -181,18 +181,16 @@ def _sample_features(histories, neighbors_list, enc_params, schedule,
     cond_scores is an (n_scores,) vector applied to every history.
     Returns arrays (mean_speed, signed_turn) over all histories x draws.
     """
-    feats = enc_mod.features(np.stack(histories), list(neighbors_list),
-                             enc_params)
-    conds = diffusion.conditions(feats, cond_scores, n_s)
-    origins = np.repeat(np.stack([h[-1] for h in histories]), n_s, axis=0)
-    futures = diffusion.sample_batch(conds, schedule, den_params, rng,
-                                     mode, origins)
+    hists = np.stack(histories)
+    feats = enc_mod.encode_many(hists, list(neighbors_list), enc_params)
+    futures = diffusion.sample_batch(feats, cond_scores, n_s, hists[:, -1],
+                                     schedule, den_params, [rng], mode)
     speeds, turns = [], []
-    for i, fut in enumerate(futures):
-        hist = histories[i // n_s]
-        f = data_mod.trajectory_features(fut, hist, dt)
-        speeds.append(f.mean_speed)
-        turns.append(f.signed_turn)
+    for hist, draws in zip(histories, futures[:, 0]):
+        for fut in draws:
+            f = data_mod.trajectory_features(fut, hist, dt)
+            speeds.append(f.mean_speed)
+            turns.append(f.signed_turn)
     return np.array(speeds), np.array(turns)
 
 

@@ -78,11 +78,12 @@ def test_full_bundle_restores_behavior(tmp_path):
     assert np.array_equal(f_a, f_b)
     assert scoring.score(f_a, fut, bundle.scorer) == \
         scoring.score(f_b, fut, loaded.scorer)
-    cond = diffusion.conditions(f_a, [0.5], 1)
-    s_a = diffusion.sample_batch(cond, bundle.schedule, bundle.denoiser,
-                                 np.random.default_rng(4))
-    s_b = diffusion.sample_batch(cond, loaded.schedule, loaded.denoiser,
-                                 np.random.default_rng(4))
+    s_a = diffusion.sample_batch(f_a[None], [0.5], 1, hist[-1:],
+                                 bundle.schedule, bundle.denoiser,
+                                 [np.random.default_rng(4)])
+    s_b = diffusion.sample_batch(f_a[None], [0.5], 1, hist[-1:],
+                                 loaded.schedule, loaded.denoiser,
+                                 [np.random.default_rng(4)])
     assert np.array_equal(s_a, s_b)
 
 

@@ -459,9 +459,10 @@ def test_checkpoint_with_dropped_config_keys_predicts(pipeline, tmp_path):
             == (tmp_path / "new.csv").read_bytes())
 
 
-# One malformed call per subcommand: a bad integer, a missing file or a
-# zero count, with the exit code it must give.  "{missing}" stands for a
-# path that does not exist and "{ethucy}" for a valid annotation file;
+# One malformed call per subcommand: a bad integer, a missing file, a zero
+# count or an out-of-range number, with the exit code it must give.
+# "{missing}" stands for a path that does not exist, "{ethucy}" for a valid
+# annotation file and "{corpus}" and "{model}" for the trained pipeline's;
 # argument errors win over missing files and name the flag.
 CONTRACT_CASES = {
     "gen-data bad --count": (2, [
@@ -481,6 +482,15 @@ CONTRACT_CASES = {
         "import-ethucy", "--input", "{missing}", "--scene", "eth"]),
     "make-pairs missing --corpus": (3, [
         "make-pairs", "--corpus", "{missing}", "--constraint", "slow-down"]),
+    "make-pairs zero --fraction": (2, [
+        "make-pairs", "--corpus", "{corpus}", "--constraint", "slow-down",
+        "--fraction", "0"]),
+    "make-pairs nan --fraction": (2, [
+        "make-pairs", "--corpus", "{corpus}", "--constraint", "slow-down",
+        "--fraction", "nan"]),
+    "make-pairs above-one --fraction": (2, [
+        "make-pairs", "--corpus", "{corpus}", "--constraint", "slow-down",
+        "--fraction", "1.5"]),
     "train-score missing --pairs": (3, [
         "train-score", "--pairs", "{missing}"]),
     "score-corpus missing --checkpoint": (3, [
@@ -494,6 +504,12 @@ CONTRACT_CASES = {
     "predict bad --n-s": (2, [
         "predict", "--checkpoint", "{missing}", "--corpus", "{missing}",
         "--c", "0.5", "--n-s", "abc"]),
+    "predict nan --c": (2, [
+        "predict", "--checkpoint", "{model}", "--corpus", "{corpus}",
+        "--c", "nan"]),
+    "predict inf --c": (2, [
+        "predict", "--checkpoint", "{model}", "--corpus", "{corpus}",
+        "--c", "inf"]),
     "eval zero --n-c": (2, [
         "eval", "--checkpoint", "{missing}", "--corpus", "{missing}",
         "--n-c", "0"]),
@@ -511,12 +527,13 @@ CONTRACT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_every_subcommand_fails_with_one_structured_line(tmp_path, capsys,
-                                                        case):
+                                                        pipeline, case):
     want, argv = CONTRACT_CASES[case]
     out = tmp_path / "out"
     ethucy = tmp_path / "eth.txt"
     ethucy.write_text("0 1 0.0 0.0\n10 1 0.4 0.0\n20 1 0.8 0.0\n")
-    argv = [a.format(missing=tmp_path / "missing", ethucy=ethucy)
+    argv = [a.format(missing=tmp_path / "missing", ethucy=ethucy,
+                     corpus=pipeline["corpus"], model=pipeline["model"])
             for a in argv]
     capsys.readouterr()
     rc = main(argv + ["--out", str(out)])

@@ -84,6 +84,25 @@ def test_noise_to_t_rejects_bad_args():
         diffusion.noise_to_t(y0, 11, s, np.zeros((2, 3, 2)))
     with pytest.raises(ValueError):
         diffusion.noise_to_t(y0, 5, s, np.zeros((2, 4, 2)))
+    # per-row steps: one bad entry, or a 2-D array of steps
+    with pytest.raises(ValueError, match="range"):
+        diffusion.noise_to_t(y0, np.array([3, 11]), s, np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError, match="range"):
+        diffusion.noise_to_t(y0, np.array([[3], [4]]), s, np.zeros((2, 3, 2)))
+
+
+def test_noise_to_t_per_row_matches_scalar_calls():
+    # training noises each row at its own step; every row must equal the
+    # scalar call on that row alone
+    s = diffusion.make_schedule()
+    rng = np.random.default_rng(3)
+    y0 = rng.standard_normal((6, 12, 2))
+    eps = rng.standard_normal((6, 12, 2))
+    ts = np.array([1, 2, 37, 60, 99, 100])
+    out = diffusion.noise_to_t(y0, ts, s, eps)
+    for i, t in enumerate(ts):
+        assert np.array_equal(out[i],
+                              diffusion.noise_to_t(y0[i], int(t), s, eps[i]))
 
 
 def test_noise_to_t_matches_closed_form_moments():
@@ -269,22 +288,28 @@ def zero_model_setup(T, scale=2.5, m=6):
     return sched, p
 
 
+def _sample(p, sched, seed, feats=None, scores=(0.5,), n_s=1, origins=None,
+            mode="ancestral"):
+    feats = np.zeros((1, FDIM)) if feats is None else feats
+    origins = np.zeros((len(feats), 2)) if origins is None else origins
+    return diffusion.sample_batch(feats, scores, n_s, origins, sched, p,
+                                  [np.random.default_rng(seed)], mode)
+
+
 def test_sample_single_step_closed_form():
     # T=1 with a zero noise model: the draw is divided by sqrt(alpha_1),
     # rescaled to meters, and translated to the origin.
     sched = diffusion.make_schedule(T=1, beta_start=0.04, beta_end=0.04)
     p = tiny_denoiser()
     p.scale = 2.5
-    cond = diffusion.conditions(np.zeros(FDIM), [0.5], 1)
     origin = np.array([[3.0, 4.0]])
-    out = diffusion.sample_batch(cond, sched, p, np.random.default_rng(123),
-                                 mode="paper-mean", origins=origin)[0]
+    out = _sample(p, sched, 123, origins=origin, mode="paper-mean")
+    assert out.shape == (1, 1, 1, 6, 2)
     draw = np.random.default_rng(123).standard_normal((1, 6, 2))[0]
     expect = draw / math.sqrt(0.96) * 2.5 + np.array([3.0, 4.0])
-    assert np.allclose(out, expect, atol=1e-12)
+    assert np.allclose(out[0, 0, 0], expect, atol=1e-12)
     # the final step never adds noise, so ancestral agrees at T=1
-    anc = diffusion.sample_batch(cond, sched, p, np.random.default_rng(123),
-                                 mode="ancestral", origins=origin)[0]
+    anc = _sample(p, sched, 123, origins=origin, mode="ancestral")
     assert np.array_equal(out, anc)
 
 
@@ -292,9 +317,8 @@ def test_sample_mean_updates_compound():
     # With zero predicted noise every mean update divides by sqrt(alpha_t),
     # so the paper-mean chain collapses to y_T / sqrt(alpha_bar_T).
     sched, p = zero_model_setup(T=5)
-    cond = diffusion.conditions(np.ones(FDIM), [0.2], 1)
-    out = diffusion.sample_batch(cond, sched, p, np.random.default_rng(11),
-                                 mode="paper-mean")[0]
+    out = _sample(p, sched, 11, feats=np.ones((1, FDIM)), scores=[0.2],
+                  mode="paper-mean")[0, 0, 0]
     draw = np.random.default_rng(11).standard_normal((1, 6, 2))[0]
     expect = draw / math.sqrt(sched.alpha_bar[-1]) * p.scale
     assert np.allclose(out, expect, atol=1e-10)
@@ -302,36 +326,35 @@ def test_sample_mean_updates_compound():
 
 def test_sample_modes_and_determinism():
     sched, p = zero_model_setup(T=5)
-    cond = diffusion.conditions(np.zeros(FDIM), [0.5], 1)
-    a = diffusion.sample_batch(cond, sched, p, np.random.default_rng(7))
-    b = diffusion.sample_batch(cond, sched, p, np.random.default_rng(7))
-    assert np.array_equal(a, b)
-    c = diffusion.sample_batch(cond, sched, p, np.random.default_rng(8))
-    assert not np.array_equal(a, c)
-    mean = diffusion.sample_batch(cond, sched, p, np.random.default_rng(7),
-                                  mode="paper-mean")
-    assert not np.array_equal(a, mean)
+    a = _sample(p, sched, 7)
+    assert np.array_equal(a, _sample(p, sched, 7))
+    assert not np.array_equal(a, _sample(p, sched, 8))
+    assert not np.array_equal(a, _sample(p, sched, 7, mode="paper-mean"))
 
 
 def test_sample_batch_translates_origins():
     sched, p = zero_model_setup(T=3)
-    conds = np.zeros((2, FDIM + 1))
-    base = diffusion.sample_batch(conds, sched, p, np.random.default_rng(2))
-    moved = diffusion.sample_batch(conds, sched, p, np.random.default_rng(2),
-                                   origins=np.array([[10.0, -3.0], [0.0, 0.0]]))
+    feats = np.zeros((2, FDIM))
+    base = _sample(p, sched, 2, feats=feats, scores=[0.0])
+    moved = _sample(p, sched, 2, feats=feats, scores=[0.0],
+                    origins=np.array([[10.0, -3.0], [0.0, 0.0]]))
     assert np.allclose(moved[0] - base[0], [10.0, -3.0], atol=1e-12)
     assert np.array_equal(moved[1], base[1])
 
 
 def test_sample_rejects_bad_args():
     sched, p = zero_model_setup(T=3)
-    cond = diffusion.conditions(np.zeros(FDIM), [0.5, 0.5], 1)
     with pytest.raises(ad.ShapeError):
-        diffusion.sample_batch(cond, sched, p, np.random.default_rng(0))
-    good = diffusion.conditions(np.zeros(FDIM), [0.5], 1)
+        _sample(p, sched, 0, scores=[0.5, 0.5])
+    with pytest.raises(ad.ShapeError, match="origins"):
+        _sample(p, sched, 0, origins=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="mode"):
-        diffusion.sample_batch(good, sched, p, np.random.default_rng(0),
-                               mode="ddim")
+        _sample(p, sched, 0, mode="ddim")
+    # 3 rows cannot be split evenly over 2 noise streams
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match="noise streams"):
+        diffusion.sample_batch(np.zeros((1, FDIM)), [0.5], 3, np.zeros((1, 2)),
+                               sched, p, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +409,11 @@ def test_conditioning_changes_samples_after_training(small_world):
     p, _ = diffusion.train_diffusion(corpus, scores, enc, sched, cfg)
     t0 = corpus.trajectories[0]
     f = encoder.encode(t0.history, t0.neighbors, enc)
-    lo = diffusion.conditions(f, [0.1], 1)
-    hi = diffusion.conditions(f, [0.9], 1)
-    a = diffusion.sample_batch(lo, sched, p, np.random.default_rng(5),
-                               mode="paper-mean")[0]
-    b = diffusion.sample_batch(hi, sched, p, np.random.default_rng(5),
-                               mode="paper-mean")[0]
+    a = diffusion.sample_batch(f[None], [0.1], 1, np.zeros((1, 2)), sched, p,
+                               [np.random.default_rng(5)], "paper-mean")
+    b = diffusion.sample_batch(f[None], [0.9], 1, np.zeros((1, 2)), sched, p,
+                               [np.random.default_rng(5)], "paper-mean")
+    a, b = a[0, 0, 0], b[0, 0, 0]
     gap = float(np.sqrt(((a - b) ** 2).sum(axis=1)).mean())
     assert gap > 0.0
 

@@ -66,21 +66,34 @@ def test_denoiser_non_finite_raises_numerics_error(enc):
 
 def test_sampling_chain_matches_autodiff_chain(enc, denoiser):
     # sample_batch's reverse chain, replayed step by step on the autodiff
-    # forward with the same noise stream
+    # forward: 3 histories x 2 score vectors x 2 draws = 12 rows, ordered
+    # by history, score vector and draw, and 3 noise streams of 4 rows each
     sched = diffusion.make_schedule(T=6, beta_start=0.01, beta_end=0.2)
     rng = np.random.default_rng(8)
-    cond = rng.standard_normal((3, denoiser.feature_dim + denoiser.n_scores))
-    out = diffusion.sample_batch(cond, sched, denoiser,
-                                 np.random.default_rng(9))
-    noise = np.random.default_rng(9)
-    y = noise.standard_normal((3, denoiser.m, 2))
+    feats = rng.standard_normal((3, denoiser.feature_dim))
+    scores = rng.uniform(0.0, 1.0, (2, denoiser.n_scores))
+    origins = rng.standard_normal((3, 2))
+    out = diffusion.sample_batch(
+        feats, scores, 2, origins, sched, denoiser,
+        [np.random.default_rng(s) for s in (9, 10, 11)])
+    cond = np.array([np.concatenate([f, c])
+                     for f in feats for c in scores for _ in range(2)])
+    streams = [np.random.default_rng(s) for s in (9, 10, 11)]
+
+    def noise():
+        return np.concatenate([r.standard_normal((4, denoiser.m, 2))
+                               for r in streams])
+
+    y = noise()
     for t in range(sched.T, 0, -1):
-        eps = diffusion.denoise_batch(y, cond, np.full(3, t), denoiser).value
+        eps = diffusion.denoise_batch(y, cond, np.full(12, t), denoiser).value
         beta, ab = sched.beta[t - 1], sched.alpha_bar[t - 1]
         y = (y - beta / np.sqrt(1.0 - ab) * eps) / np.sqrt(sched.alpha[t - 1])
         if t > 1:
-            y = y + np.sqrt(beta) * noise.standard_normal((3, denoiser.m, 2))
-    assert np.array_equal(out, y * denoiser.scale)
+            y = y + np.sqrt(beta) * noise()
+    ref = y * denoiser.scale + np.repeat(origins, 4, axis=0)[:, None, :]
+    assert out.shape == (3, 2, 2, denoiser.m, 2)
+    assert np.array_equal(out.reshape(12, denoiser.m, 2), ref)
 
 
 def _track(rng, n=8):
@@ -93,25 +106,29 @@ def test_encoder_matches_autodiff(enc, k):
     hist = _track(rng)
     nbrs = [_track(rng) for _ in range(k)]
     ref = encoder.encode_batch(hist[None], [nbrs], enc).value
-    assert np.array_equal(encoder.features(hist[None], [nbrs], enc), ref)
     assert np.array_equal(encoder.encode(hist, nbrs, enc), ref[0])
 
 
 def test_encoder_batch_with_mixed_neighbor_counts(enc):
+    # a history's feature does not depend on the histories that share its
+    # batch, so a sweep samples from the feature predict and eval use
     rng = np.random.default_rng(20)
     hists = np.stack([_track(rng) for _ in range(5)])
     nbrs = [[_track(rng) for _ in range(k)] for k in (2, 0, 3, 1, 0)]
-    ref = encoder.encode_batch(hists, nbrs, enc).value
-    assert np.array_equal(encoder.features(hists, nbrs, enc), ref)
+    many = encoder.encode_many(hists, nbrs, enc)
+    assert np.array_equal(many[1:3],
+                          encoder.encode_many(hists[1:3], nbrs[1:3], enc))
+    for i in range(5):
+        assert np.array_equal(many[i], encoder.encode(hists[i], nbrs[i], enc))
 
 
 def test_encoder_features_keeps_shape_checks(enc):
     with pytest.raises(ad.ShapeError):
-        encoder.features(np.zeros((2, 7, 2)), [[], []], enc)
+        encoder.encode_many(np.zeros((2, 7, 2)), [[], []], enc)
     with pytest.raises(ad.ShapeError):
-        encoder.features(np.zeros((2, 8, 2)), [[]], enc)
+        encoder.encode_many(np.zeros((2, 8, 2)), [[]], enc)
     with pytest.raises(ad.ShapeError):
-        encoder.features(np.zeros((1, 8, 2)), [[np.zeros((5, 2))]], enc)
+        encoder.encode_many(np.zeros((1, 8, 2)), [[np.zeros((5, 2))]], enc)
 
 
 def test_scorer_matches_autodiff(enc):
@@ -180,8 +197,8 @@ def test_score_many_keeps_shape_checks(enc):
 
 
 def test_frozen_features_match_autodiff_chunk_by_chunk():
-    # training conditions still come from the 2-D batch forward, in chunks
-    # of 256 histories; 260 histories make a full chunk and a partial one
+    # training conditions come from the 2-D autodiff forward in chunks of
+    # 256 histories; 260 histories make a full chunk and a partial one
     enc = _random_encoder(60)
     rng = np.random.default_rng(61)
     trajs = [data.Trajectory(id=i, history=_track(rng), future=_track(rng, 12),

@@ -18,23 +18,18 @@ pytestmark = pytest.mark.slow
 STEP_BOUND = data.V_MAX * data.DEF_DT * 1.5
 
 
-def _conditions(trajs, model, value):
-    hists = np.stack([t.history for t in trajs])
-    nbrs = [t.neighbors for t in trajs]
-    feats = encoder.encode_batch(hists, nbrs, model["encoder"]).value
-    scores = np.full((len(trajs), 1), value)
-    return np.concatenate([feats, scores], axis=1)
-
-
 def test_sampled_steps_stay_corpus_plausible(eval_subsets, slow_model):
     trajs = eval_subsets["eight"]
     n_s = 12
-    cond = np.repeat(_conditions(trajs, slow_model, 0.5), n_s, axis=0)
-    origins = np.repeat(np.stack([t.history[-1] for t in trajs]), n_s, axis=0)
-    rng = np.random.default_rng(8)
-    futures = diffusion.sample_batch(cond, slow_model["schedule"],
-                                     slow_model["denoiser"], rng,
-                                     origins=origins)
+    feats = encoder.encode_batch(np.stack([t.history for t in trajs]),
+                                 [t.neighbors for t in trajs],
+                                 slow_model["encoder"]).value
+    origins = np.stack([t.history[-1] for t in trajs])
+    futures = diffusion.sample_batch(
+        feats, [0.5], n_s, origins, slow_model["schedule"],
+        slow_model["denoiser"], [np.random.default_rng(8)])
+    futures = futures.reshape(-1, *futures.shape[3:])
+    origins = np.repeat(origins, n_s, axis=0)
     path = np.concatenate([origins[:, None, :], futures], axis=1)
     steps = np.linalg.norm(np.diff(path, axis=1), axis=2)
     frac = float((steps <= STEP_BOUND).mean())
