@@ -53,13 +53,6 @@ class Node:
         self.op = op
         self.requires_grad = requires_grad
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Node(op={self.op!r}, shape={self.value.shape})"
-
 
 def _asarray(x) -> np.ndarray:
     arr = np.ascontiguousarray(x, dtype=np.float64)
@@ -453,35 +446,28 @@ def backward(loss: Node) -> None:
 
 
 def zero_grad(params) -> None:
-    """Reset accumulated gradients of parameter nodes (dict or iterable)."""
-    if isinstance(params, dict):
-        params = params.values()
+    """Reset the accumulated gradients of an iterable of parameter nodes."""
     for p in params:
         p.grad = None
 
 
 class Adam:
-    """Adam with bias correction; updates parameter values in place."""
+    """Adam with bias correction on a name -> parameter dict, in place."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float = 1e-3):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
-        if isinstance(params, dict):
-            self.named = list(params.items())
-        else:
-            self.named = [(f"param{i}", p) for i, p in enumerate(params)]
+        self.named = list(params.items())
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.value) for _, p in self.named]
         self._v = [np.zeros_like(p.value) for _, p in self.named]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for (name, p), m, v in zip(self.named, self._m, self._v):
@@ -494,8 +480,4 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-    def zero_grad(self) -> None:
-        for _, p in self.named:
-            p.grad = None
+            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)

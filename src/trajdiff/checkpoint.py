@@ -42,10 +42,6 @@ class Bundle:
     m: int
 
     @property
-    def n(self):
-        return self.encoder.n
-
-    @property
     def dt(self):
         return self.encoder.dt
 

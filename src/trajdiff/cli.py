@@ -212,14 +212,13 @@ def cmd_predict(args):
         traj = by_id[args.id]
     else:
         traj = min(corpus.trajectories, key=lambda t: t.id)
-    seed = args.seed if args.seed is not None else 0
     f = enc_mod.encode(traj.history, traj.neighbors, bundle.encoder)
     futures = diffusion.sample_batch(
         f[None], args.c, args.n_s, traj.history[-1:], bundle.schedule, den,
-        [np.random.default_rng(seed)], args.mode)[0, 0]
+        [np.random.default_rng(args.seed)], args.mode)[0, 0]
     data_mod.write_table(args.out, {
         "trajectory_id": traj.id, "c": ",".join(f"{c:g}" for c in args.c),
-        "n_s": args.n_s, "seed": seed, "mode": args.mode}, "sample,step,x,y",
+        "n_s": args.n_s, "seed": args.seed, "mode": args.mode}, "sample,step,x,y",
         (f"{si},{k},{x:.6f},{y:.6f}"
          for si, fut in enumerate(futures) for k, (x, y) in enumerate(fut)))
     if args.svg:
@@ -227,7 +226,7 @@ def cmd_predict(args):
             args.svg, traj.history, traj.future, list(futures),
             sample_values=[args.c[0]] * args.n_s,
             title=f"trajectory {traj.id}, c={args.c}")
-    _say(wrote=args.out, trajectory=traj.id, samples=args.n_s, seed=seed)
+    _say(wrote=args.out, trajectory=traj.id, samples=args.n_s, seed=args.seed)
     return 0
 
 
@@ -235,15 +234,14 @@ def cmd_eval(args):
     bundle = ckpt_mod.load_bundle(args.checkpoint)
     _need(bundle, "denoiser")
     _need(bundle, "schedule")
-    seed = args.seed if args.seed is not None else 0
     corpus = data_mod.load_corpus(args.corpus)
-    trajs = _test_subset(corpus, args.limit, seed)
+    trajs = _test_subset(corpus, args.limit, args.seed)
     report = evaluate.evaluate_trajectories(
         trajs, bundle.encoder, bundle.schedule, bundle.denoiser,
-        args.n_c, args.n_s, seed=seed, mode=args.mode)
+        args.n_c, args.n_s, seed=args.seed, mode=args.mode)
     reports = [report]
     meta = {"checkpoint": str(args.checkpoint), "corpus": str(args.corpus),
-            "trajectories": len(trajs), "seed": seed}
+            "trajectories": len(trajs), "seed": args.seed}
     if args.baseline:
         reports.append(evaluate.constant_velocity_report(trajs, bundle.dt))
         meta["baseline"] = "constant-velocity"
@@ -257,11 +255,10 @@ def cmd_sweep(args):
     bundle = ckpt_mod.load_bundle(args.checkpoint)
     _need(bundle, "denoiser")
     _need(bundle, "schedule")
-    seed = args.seed if args.seed is not None else 0
     corpus = data_mod.load_corpus(args.corpus)
-    trajs = _test_subset(corpus, args.limit, seed)
+    trajs = _test_subset(corpus, args.limit, args.seed)
     meta = {"checkpoint": str(args.checkpoint), "corpus": str(args.corpus),
-            "trajectories": len(trajs), "seed": seed}
+            "trajectories": len(trajs), "seed": args.seed}
     enc, sched, den = bundle.encoder, bundle.schedule, bundle.denoiser
 
     if args.kind == "ablation":
@@ -276,7 +273,7 @@ def cmd_sweep(args):
                 raise _Failure(USAGE, f"bad --budgets {args.budgets!r}, "
                                       f"expected e.g. 20x20,10x10")
         reports = evaluate.ablation_sweep(trajs, enc, sched, den, pairs=pairs,
-                                          seed=seed, mode=args.mode)
+                                          seed=args.seed, mode=args.mode)
         evaluate.write_metric_csv(args.out, reports, meta=meta)
         if args.svg:
             cells = [f"{r.n_c}x{r.n_s}" for r in reports]
@@ -297,7 +294,7 @@ def cmd_sweep(args):
         report = evaluate.adherence_curve(
             hists, nbrs, enc, sched, den, constraint,
             grid_size=args.grid_size, n_s=args.n_s, axis=args.axis,
-            seed=seed, mode=args.mode, dt=bundle.dt)
+            seed=args.seed, mode=args.mode, dt=bundle.dt)
         evaluate.write_adherence_csv(args.out, report, meta=meta)
         if args.svg:
             svg_mod.line_plot(args.svg, report.grid, [report.mean_feature],
@@ -310,7 +307,7 @@ def cmd_sweep(args):
     # grid
     report = evaluate.multi_constraint_grid(
         hists, nbrs, enc, sched, den, n=args.grid_size, n_s=args.n_s,
-        seed=seed, mode=args.mode, dt=bundle.dt)
+        seed=args.seed, mode=args.mode, dt=bundle.dt)
     evaluate.write_grid_csv(args.out, report, meta=meta)
     if args.svg:
         n = report.grid.size
@@ -439,7 +436,7 @@ def build_parser():
     sp.add_argument("--n-s", type=_count, default=20)
     sp.add_argument("--mode", choices=("ancestral", "paper-mean"),
                     default="ancestral")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--svg", help="also draw an overlay here")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_predict)
@@ -455,7 +452,7 @@ def build_parser():
                     help="add a constant-velocity row")
     sp.add_argument("--mode", choices=("ancestral", "paper-mean"),
                     default="ancestral")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_eval)
 
@@ -477,7 +474,7 @@ def build_parser():
                     help="score channel to sweep")
     sp.add_argument("--mode", choices=("ancestral", "paper-mean"),
                     default="ancestral")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--svg", help="also draw the sweep here")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_sweep)

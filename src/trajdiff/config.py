@@ -8,6 +8,7 @@ is built.
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -68,13 +69,14 @@ class Config:
         positive_floats = ("dt", "neighbor_radius", "bandwidth", "score_lr",
                            "diffusion_lr", "tie_threshold_speed",
                            "tie_threshold_turn")
-        for name in positive_floats:
+        # NaN fails every comparison; lam may be 0 (no entropy bonus)
+        for name in positive_floats + ("lam",):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-                raise ValueError(f"config: {name} must be positive, "
-                                 f"got {v!r}")
-        if self.lam < 0:
-            raise ValueError(f"config: lam must be >= 0, got {self.lam!r}")
+            zero_ok = name == "lam"
+            if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                    or not 0 <= v < math.inf or (v == 0 and not zero_ok)):
+                raise ValueError(f"config: {name} must be a finite number "
+                                 f"{'>=' if zero_ok else '>'} 0, got {v!r}")
         if not 0 < self.beta_start <= self.beta_end < 1:
             raise ValueError(f"config: need 0 < beta_start <= beta_end < 1, "
                              f"got [{self.beta_start}, {self.beta_end}]")

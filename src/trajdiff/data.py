@@ -22,6 +22,8 @@ DEF_M = 12
 DEF_DT = 0.4
 V_MAX = 4.0          # corpus sanity bound on speed, m/s
 JITTER_SIGMA = 0.03  # positional noise added to synthetic points, metres
+TURN_MIX = (0.35, 0.35, 0.30)  # t-intersection left, right, straight
+TEST_FRACTION = 0.2  # share of ids in the held-out split
 
 ANNOTATOR_KINDS = ("slow-down", "turn-right", "turn-left")
 DEFAULT_TIE_THRESHOLD = {"slow-down": 0.1, "turn-right": 0.087, "turn-left": 0.087}
@@ -37,7 +39,6 @@ class Trajectory:
     history: np.ndarray            # (n, 2)
     future: np.ndarray             # (m, 2)
     neighbors: list = field(default_factory=list)  # each (n, 2)
-    dt: float = DEF_DT
 
 
 @dataclass
@@ -128,11 +129,11 @@ class ConstraintAnnotator:
 # ---------------------------------------------------------------------------
 # synthetic corpora
 
-def _jitter(rng, k, sigma=JITTER_SIGMA):
+def _jitter(rng, k):
     # norm-clipped so worst-case step displacement stays under the scan bound
-    e = rng.normal(0.0, sigma, size=(k, 2))
+    e = rng.normal(0.0, JITTER_SIGMA, size=(k, 2))
     norms = np.linalg.norm(e, axis=1)
-    cap = 1.9 * sigma
+    cap = 1.9 * JITTER_SIGMA
     big = norms > cap
     e[big] *= (cap / norms[big])[:, None]
     return e
@@ -158,17 +159,17 @@ def _speed_profile(rng, n, steps):
     return speeds, u0
 
 
-def _crossing_neighbor(rng, n, dt, x_ref):
+def _crossing_neighbor(rng, n, dt, x_ref, y_range):
     speed = rng.uniform(0.5, 2.0)
     sgn = rng.choice([-1.0, 1.0])
-    y = rng.uniform(0.2, 1.4)
+    y = rng.uniform(*y_range)
     xs = x_ref + rng.uniform(-4.0, 4.0) + sgn * speed * dt * np.arange(n)
     pts = np.stack([xs, np.full(n, y)], axis=1)
     return pts + _jitter(rng, n)
 
 
-def _t_intersection_one(tid, rng, n, m, dt, turn_mix):
-    maneuver = int(rng.choice(3, p=list(turn_mix)))  # 0 left, 1 right, 2 straight
+def _t_intersection_one(tid, rng, n, m, dt):
+    maneuver = int(rng.choice(3, p=list(TURN_MIX)))  # 0 left, 1 right, 2 straight
     steps = n + m - 1
     speeds, u0 = _speed_profile(rng, n, steps)
     headings = np.full(steps, np.pi / 2)
@@ -184,8 +185,9 @@ def _t_intersection_one(tid, rng, n, m, dt, turn_mix):
     x0 = rng.uniform(-0.8, 0.8)
     start = np.array([x0, -dt * u0 * n])
     pts = _integrate(start, speeds, headings, dt) + _jitter(rng, steps + 1)
-    nbrs = [_crossing_neighbor(rng, n, dt, x0) for _ in range(rng.integers(0, 3))]
-    return Trajectory(tid, pts[:n], pts[n:], nbrs, dt), name
+    nbrs = [_crossing_neighbor(rng, n, dt, x0, (0.2, 1.4))
+            for _ in range(rng.integers(0, 3))]
+    return Trajectory(tid, pts[:n], pts[n:], nbrs), name
 
 
 def _straight_hall_one(tid, rng, n, m, dt):
@@ -194,22 +196,16 @@ def _straight_hall_one(tid, rng, n, m, dt):
     headings = np.full(steps, 0.0 if rng.uniform() < 0.5 else np.pi)
     start = np.array([rng.uniform(-4.0, 4.0), rng.uniform(-1.5, 1.5)])
     pts = _integrate(start, speeds, headings, dt) + _jitter(rng, steps + 1)
-    nbrs = []
-    for _ in range(rng.integers(0, 3)):
-        speed = rng.uniform(0.5, 2.0)
-        sgn = rng.choice([-1.0, 1.0])
-        y = rng.uniform(-1.5, 1.5)
-        xs = start[0] + rng.uniform(-4.0, 4.0) + sgn * speed * dt * np.arange(n)
-        nbrs.append(np.stack([xs, np.full(n, y)], axis=1) + _jitter(rng, n))
-    return Trajectory(tid, pts[:n], pts[n:], nbrs, dt)
+    nbrs = [_crossing_neighbor(rng, n, dt, start[0], (-1.5, 1.5))
+            for _ in range(rng.integers(0, 3))]
+    return Trajectory(tid, pts[:n], pts[n:], nbrs)
 
 
-def generate_synthetic(scenario, count, seed, n=DEF_N, m=DEF_M, dt=DEF_DT,
-                       turn_mix=(0.35, 0.35, 0.30)):
+def generate_synthetic(scenario, count, seed, n=DEF_N, m=DEF_M, dt=DEF_DT):
     """Generate a corpus of desk-scale pedestrian scenes.
 
     t-intersection agents walk up a stem and then turn left, turn right, or
-    continue according to turn_mix; straight-hall agents walk a corridor.
+    continue according to TURN_MIX; straight-hall agents walk a corridor.
     Future windows carry smooth speed ramps (and any turning) so candidate
     futures genuinely differ given an observed history.  Each trajectory uses
     an RNG derived from (seed, id), so generation order is irrelevant.
@@ -223,7 +219,7 @@ def generate_synthetic(scenario, count, seed, n=DEF_N, m=DEF_M, dt=DEF_DT,
     for tid in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((seed, tid)))
         if scenario == "t-intersection":
-            traj, name = _t_intersection_one(tid, rng, n, m, dt, turn_mix)
+            traj, name = _t_intersection_one(tid, rng, n, m, dt)
             counts[name] += 1
         else:
             traj = _straight_hall_one(tid, rng, n, m, dt)
@@ -264,7 +260,7 @@ def _parse_annotation_file(path):
 
 
 def import_ethucy(path, scene, frame_rate=25.0, n=DEF_N, m=DEF_M, dt=DEF_DT,
-                  stride=1, radius=5.0, v_max=V_MAX):
+                  stride=1, radius=5.0):
     """Build a corpus from a raw annotation file.
 
     Each pedestrian track is resampled to one point every dt seconds by
@@ -272,7 +268,7 @@ def import_ethucy(path, scene, frame_rate=25.0, n=DEF_N, m=DEF_M, dt=DEF_DT,
     stride.  Neighbours are other pedestrians whose raw track spans the
     segment's history window, interpolated at the ego timestamps, kept if
     within `radius` metres at the last observed time, nearest first.  Tracks
-    too short to cut and segments breaking the v_max bound are counted in
+    too short to cut and segments breaking the V_MAX bound are counted in
     the corpus meta.
     """
     tracks = _parse_annotation_file(path)
@@ -303,7 +299,7 @@ def import_ethucy(path, scene, frame_rate=25.0, n=DEF_N, m=DEF_M, dt=DEF_DT,
         for s in range(0, len(grid) - (n + m) + 1, stride):
             window = pts[s:s + n + m]
             disps = np.linalg.norm(np.diff(window, axis=0), axis=1)
-            if disps.max() > v_max * dt + 1e-9:
+            if disps.max() > V_MAX * dt + 1e-9:
                 skipped_segments += 1
                 continue
             t_hist = grid[s:s + n]
@@ -320,7 +316,7 @@ def import_ethucy(path, scene, frame_rate=25.0, n=DEF_N, m=DEF_M, dt=DEF_DT,
                 if dist <= radius:
                     nbrs.append((dist, other, opts))
             nbrs.sort(key=lambda item: (item[0], item[1]))
-            trajs.append(Trajectory(tid, window[:n], window[n:], [q for _, _, q in nbrs], dt))
+            trajs.append(Trajectory(tid, window[:n], window[n:], [q for _, _, q in nbrs]))
             tid += 1
     if not trajs:
         raise DataError(f"{path}: no segments of length n+m={n + m} after resampling")
@@ -395,17 +391,17 @@ def make_pairs(corpus, annotator, fraction, generator=None, seed=0):
 # ---------------------------------------------------------------------------
 # train/test splitting by id hash
 
-def is_test_id(tid, test_fraction=0.2):
+def is_test_id(tid):
     """Stable id-hash split: the same id lands on the same side forever."""
     digest = hashlib.sha1(str(int(tid)).encode()).digest()
     bucket = int.from_bytes(digest[:4], "big") % 1000
-    return bucket < int(round(test_fraction * 1000))
+    return bucket < int(round(TEST_FRACTION * 1000))
 
 
-def split_corpus(corpus, test_fraction=0.2):
+def split_corpus(corpus):
     train, test = [], []
     for traj in corpus.trajectories:
-        (test if is_test_id(traj.id, test_fraction) else train).append(traj)
+        (test if is_test_id(traj.id) else train).append(traj)
     tr = Corpus(train, dict(corpus.meta, split="train"))
     te = Corpus(test, dict(corpus.meta, split="test"))
     return tr, te
@@ -414,19 +410,26 @@ def split_corpus(corpus, test_fraction=0.2):
 # ---------------------------------------------------------------------------
 # on-disk formats: line-delimited JSON with a header record
 
-def validate_corpus(corpus, v_max=V_MAX):
+def validate_corpus(corpus):
     if not corpus.trajectories:
         raise DataError("corpus is empty")
     n, m, dt = corpus.n, corpus.m, corpus.dt
+    seen = set()
     for traj in corpus.trajectories:
+        if traj.id in seen:
+            raise DataError(f"trajectory {traj.id}: repeated id")
+        seen.add(traj.id)
         if traj.history.shape != (n, 2) or traj.future.shape != (m, 2):
             raise DataError(f"trajectory {traj.id}: bad shapes "
                             f"{traj.history.shape} / {traj.future.shape}")
         path = np.vstack([traj.history, traj.future])
         if not np.isfinite(path).all():
             raise DataError(f"trajectory {traj.id}: non-finite coordinates")
-        disps = np.linalg.norm(np.diff(path, axis=0), axis=1)
-        if disps.max() > v_max * dt + 1e-9:
+        # a huge finite coordinate overflows to an inf step, which the
+        # bound below rejects
+        with np.errstate(over="ignore"):
+            disps = np.linalg.norm(np.diff(path, axis=0), axis=1)
+        if disps.max() > V_MAX * dt + 1e-9:
             raise DataError(f"trajectory {traj.id}: step displacement "
                             f"{disps.max():.3f} m exceeds v_max*dt")
         for q in traj.neighbors:
@@ -470,8 +473,7 @@ def load_corpus(path):
             raise DataError(f"{path}: not a corpus file")
         meta = {k: v for k, v in header.items() if k not in ("kind", "version")}
         try:
-            int(meta["n"]), int(meta["m"])   # Corpus.n and .m convert on access
-            dt = float(meta["dt"])
+            int(meta["n"]), int(meta["m"]), float(meta["dt"])  # Corpus converts on access
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: line 1: bad header: {_bad_field(exc)}") from None
         trajs = []
@@ -483,8 +485,7 @@ def load_corpus(path):
                 trajs.append(Trajectory(int(rec["id"]),
                                         np.array(rec["history"], dtype=float),
                                         np.array(rec["future"], dtype=float),
-                                        [np.array(q, dtype=float) for q in rec["neighbors"]],
-                                        dt))
+                                        [np.array(q, dtype=float) for q in rec["neighbors"]]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: line {lineno}: bad record: "
                                 f"{_bad_field(exc)}") from None
@@ -584,7 +585,13 @@ def load_scores_csv(path):
     for k, ln in enumerate(body[1:], start=2):
         fields = ln.split(",")
         try:
-            scores[int(fields[0])] = float(fields[1])
+            tid, value = int(fields[0]), float(fields[1])
         except (IndexError, ValueError):
-            raise DataError(f"{path}: bad score row {k}: {ln!r}")
+            raise DataError(f"{path}: bad score row {k}: {ln!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}: score row {k}: non-finite score {ln!r}")
+        if tid in scores:
+            raise DataError(f"{path}: score row {k}: repeated trajectory "
+                            f"id {tid}")
+        scores[tid] = value
     return name, scores

@@ -10,7 +10,7 @@ process from pure noise, steered by the requested score values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -288,13 +288,18 @@ def _relative_futures(trajs):
     return np.stack([t.future - t.history[-1] for t in trajs])
 
 
-def _frozen_features(trajs, enc_params, chunk=256):
+def _frozen_features(trajs, enc_params):
+    # Every trained model was fitted on these bits: encode_batch on 2-D
+    # batches of 256 histories (another size rounds differently).  Constant
+    # weights make the autodiff ops record no graph.
+    frozen = replace(enc_params, weights={
+        k: ad.constant(w.value) for k, w in enc_params.weights.items()})
     out = []
-    for lo in range(0, len(trajs), chunk):
-        part = trajs[lo:lo + chunk]
+    for lo in range(0, len(trajs), 256):
+        part = trajs[lo:lo + 256]
         hists = np.stack([t.history for t in part])
         nbrs = [t.neighbors for t in part]
-        out.append(enc_mod.encode_batch(hists, nbrs, enc_params).value)
+        out.append(enc_mod.encode_batch(hists, nbrs, frozen).value)
     return np.concatenate(out, axis=0)
 
 
@@ -317,7 +322,7 @@ def train_diffusion(corpus, scores, enc_params, schedule, config,
     score_rows = []
     for t in trajs:
         if t.id not in scores:
-            raise ValueError(f"missing score for trajectory {t.id}")
+            raise data_mod.DataError(f"missing score for trajectory {t.id}")
         score_rows.append(np.atleast_1d(np.asarray(scores[t.id], dtype=float)))
     score_arr = np.stack(score_rows)
     n_scores = score_arr.shape[1]

@@ -107,19 +107,6 @@ def score(f, future, params):
                             params)[0])
 
 
-def btl_prob(s_a, s_b):
-    """Probability that the trajectory scored s_a is preferred over s_b.
-
-    Computed as the logistic of (s_a - s_b).  The winning side is evaluated
-    directly and the losing side as its complement, so
-    btl_prob(a, b) + btl_prob(b, a) == 1.0 exactly.
-    """
-    d = float(s_a) - float(s_b)
-    if d >= 0:
-        return 1.0 / (1.0 + math.exp(-d))
-    return 1.0 - 1.0 / (1.0 + math.exp(d))
-
-
 def _pair_scores(pairs, scorer, params):
     """Stacked scores for winners-and-losers: returns ((2B,1) node, B)."""
     hists = np.stack([p.history for p in pairs])

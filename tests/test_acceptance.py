@@ -14,6 +14,7 @@ import zlib
 import numpy as np
 import pytest
 
+import trajdiff.autodiff as ad
 from trajdiff import data, diffusion, encoder, evaluate, scoring
 from trajdiff.cli import main as cli_main
 from trajdiff.config import Config
@@ -82,21 +83,32 @@ def test_criterion_02_schedule_and_noising():
 # ---------------------------------------------------------------------------
 # 3: pairwise-preference probability identities
 
+def _margins(pairs, scorer, enc):
+    """Winner-minus-loser score margins, stacked as scorer_loss stacks them."""
+    scores, b = scoring._pair_scores(pairs, scorer, enc)
+    s = scores.value.ravel()
+    return s[:b] - s[b:]
+
+
 def test_criterion_03_preference_identities(world):
-    rng = np.random.default_rng(5)
-    dev = 0.0
-    for _ in range(200):
-        a, b = rng.uniform(0.0, 1.0, size=2)
-        dev = max(dev, abs(scoring.btl_prob(a, b) + scoring.btl_prob(b, a) - 1.0))
-    complement_ok = dev <= np.finfo(float).eps
-
-    halves_ok = all(scoring.btl_prob(x, x) == 0.5
-                    for x in (0.0, 0.25, 0.5, 1.0))
-
+    # training's preference probability is ad.sigmoid of the score margin
+    # (scorer_loss); its kernel is checked on margins of a random scorer and
+    # of 200 score pairs drawn from (0, 1), the scorer's range
     pairs = data.make_pairs(world["train"], data.ConstraintAnnotator("slow-down"),
                             0.02, seed=7)
     enc = encoder.init_encoder(seed=0)
+    random = scoring.init_scorer(enc.feature_dim)
+    drawn = np.random.default_rng(5).uniform(0.0, 1.0, size=(200, 2))
+    margin = np.concatenate([_margins(pairs, random, enc),
+                             drawn[:, 0] - drawn[:, 1]])
+    dev = float(np.abs(ad.sigmoid_values(margin) + ad.sigmoid_values(-margin)
+                       - 1.0).max())
+    complement_ok = dev <= np.finfo(float).eps
+
     zero = scoring.init_scorer(enc.feature_dim, m=12, zero=True)
+    equal = _margins(pairs, zero, enc)       # every score is 0.5
+    halves_ok = bool(np.all(ad.sigmoid_values(equal) == 0.5))
+
     loss = float(scoring.scorer_loss(pairs, zero, enc, Config(lam=0.0))
                  .value.reshape(-1)[0])
     want = len(pairs) * math.log(2.0)

@@ -404,7 +404,7 @@ def test_deterministic_forward_backward():
 
 def test_adam_zero_gradient_leaves_params():
     p = ad.parameter(np.array([1.0, -2.0]))
-    opt = ad.Adam([p], lr=1e-2)
+    opt = ad.Adam({"p": p}, lr=1e-2)
     before = p.value.copy()
     for _ in range(50):
         p.grad = np.zeros_like(p.value)
@@ -414,7 +414,7 @@ def test_adam_zero_gradient_leaves_params():
 
 def test_adam_descends_against_constant_gradient():
     p = ad.parameter(np.array([0.0]))
-    opt = ad.Adam([p], lr=1e-2)
+    opt = ad.Adam({"p": p}, lr=1e-2)
     for _ in range(100):
         p.grad = np.array([2.5])
         opt.step()
@@ -424,9 +424,9 @@ def test_adam_descends_against_constant_gradient():
 def test_adam_converges_on_quadratic():
     # minimize (x - 3)^2
     p = ad.parameter(np.array([0.0]))
-    opt = ad.Adam([p], lr=1e-2)
+    opt = ad.Adam({"p": p}, lr=1e-2)
     for _ in range(2000):
-        opt.zero_grad()
+        ad.zero_grad([p])
         loss = ad.reduce_sum(ad.square(ad.sub(p, ad.constant(np.array([3.0])))))
         ad.backward(loss)
         opt.step()
@@ -444,7 +444,7 @@ def test_adam_rejects_nan_gradient():
 
 def test_adam_requires_positive_lr():
     with pytest.raises(ValueError):
-        ad.Adam([ad.parameter(np.zeros(1))], lr=0.0)
+        ad.Adam({"p": ad.parameter(np.zeros(1))}, lr=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_scorer_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "scorer.ckpt"
     checkpoint.save_bundle(path, bundle)
     loaded = checkpoint.load_bundle(path)
-    assert loaded.n == 8 and loaded.m == 12 and loaded.dt == 0.4
+    assert loaded.encoder.n == 8 and loaded.m == 12 and loaded.dt == 0.4
     assert loaded.encoder.d_e == 12 and loaded.encoder.d_n == 6
     assert loaded.scorer.hidden == (16, 8)
     assert loaded.denoiser is None and loaded.schedule is None

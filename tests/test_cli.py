@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ def test_config_rejects_bad_ranges():
         config.from_dict({"width": 30, "heads": 4})
     with pytest.raises(ValueError, match="T"):
         config.from_dict({"T": 0})
+    for name in ("dt", "neighbor_radius", "bandwidth", "score_lr",
+                 "diffusion_lr", "tie_threshold_speed", "tie_threshold_turn",
+                 "lam"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError,
+                               match=f"config: {name} must be a finite"):
+                config.from_dict({name: bad})
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -155,6 +163,12 @@ def test_score_csv_rejects_garbage(tmp_path):
         load_scores_csv(bad)
     bad.write_text("trajectory_id,score\n3,abc\n")
     with pytest.raises(data.DataError, match="row 2"):
+        load_scores_csv(bad)
+    bad.write_text("trajectory_id,score\n3,0.5\n4,nan\n")
+    with pytest.raises(data.DataError, match="bad.csv: score row 3: non-finite"):
+        load_scores_csv(bad)
+    bad.write_text("trajectory_id,score\n3,0.5\n4,0.5\n3,0.7\n")
+    with pytest.raises(data.DataError, match="bad.csv: score row 4: repeated"):
         load_scores_csv(bad)
 
 
@@ -459,11 +473,51 @@ def test_checkpoint_with_dropped_config_keys_predicts(pipeline, tmp_path):
             == (tmp_path / "new.csv").read_bytes())
 
 
+@pytest.fixture(scope="module")
+def broken(pipeline, tmp_path_factory):
+    """Copies of the pipeline's inputs, each with one defect."""
+    d = tmp_path_factory.mktemp("broken")
+    paths = {}
+
+    def write(name, text):
+        paths[name] = str(d / name)
+        (d / name).write_text(text)
+
+    corpus = open(pipeline["corpus"]).read().splitlines(keepends=True)
+
+    def corpus_with(i, edit):
+        rec = json.loads(corpus[i])
+        edit(rec)
+        return "".join(corpus[:i] + [json.dumps(rec) + "\n"] + corpus[i + 1:])
+
+    first_id = json.loads(corpus[1])["id"]
+    write("repeated_id", corpus_with(2, lambda r: r.update(id=first_id)))
+    write("huge", corpus_with(
+        1, lambda r: r["history"][0].__setitem__(0, 1e200)))
+
+    scores = open(pipeline["scores"]).read().splitlines(keepends=True)
+    first = next(i for i, ln in enumerate(scores) if ln[0].isdigit())
+    train_row = next(i for i, ln in enumerate(scores)
+                     if ln[0].isdigit() and not data.is_test_id(ln.split(",")[0]))
+    tid = scores[first].split(",")[0]
+    write("repeated_row", "".join(scores + [f"{tid},0.123\n"]))
+    write("nan_scores", "".join(scores[:first] + [f"{tid},nan\n"]
+                                + scores[first + 1:]))
+    write("missing_row", "".join(scores[:train_row] + scores[train_row + 1:]))
+
+    cfg = json.loads(open(pipeline["config"]).read())
+    write("nan_lr", json.dumps(dict(cfg, diffusion_lr=float("nan"))))
+    write("inf_lam", json.dumps(dict(cfg, lam=float("inf"))))
+    return paths
+
+
 # One malformed call per subcommand: a bad integer, a missing file, a zero
-# count or an out-of-range number, with the exit code it must give.
-# "{missing}" stands for a path that does not exist, "{ethucy}" for a valid
-# annotation file and "{corpus}" and "{model}" for the trained pipeline's;
-# argument errors win over missing files and name the flag.
+# count, an out-of-range number or a defective input, with the exit code it
+# must give.  "{missing}" stands for a path that does not exist, "{ethucy}"
+# for a valid annotation file, "{corpus}", "{pairs}", "{scorer}", "{scores}",
+# "{model}" and "{config}" for the trained pipeline's and the file names of
+# the ``broken`` fixture for its defective copies; argument and config
+# errors win over missing files and name the flag or field.
 CONTRACT_CASES = {
     "gen-data bad --count": (2, [
         "gen-data", "--scenario", "t-intersection", "--count", "abc"]),
@@ -522,22 +576,45 @@ CONTRACT_CASES = {
     "sweep zero --limit": (2, [
         "sweep", "--checkpoint", "{missing}", "--corpus", "{missing}",
         "--kind", "ablation", "--limit", "0"]),
+    "score-corpus repeated-id --corpus": (3, [
+        "score-corpus", "--checkpoint", "{scorer}",
+        "--corpus", "{repeated_id}"]),
+    "score-corpus huge-coordinate --corpus": (3, [
+        "score-corpus", "--checkpoint", "{scorer}", "--corpus", "{huge}"]),
+    "train-diffusion repeated-row --scores": (3, [
+        "train-diffusion", "--checkpoint", "{scorer}", "--corpus", "{corpus}",
+        "--scores", "{repeated_row}", "--config", "{config}"]),
+    "train-diffusion nan --scores": (3, [
+        "train-diffusion", "--checkpoint", "{scorer}", "--corpus", "{corpus}",
+        "--scores", "{nan_scores}", "--config", "{config}"]),
+    "train-diffusion missing-row --scores": (3, [
+        "train-diffusion", "--checkpoint", "{scorer}", "--corpus", "{corpus}",
+        "--scores", "{missing_row}", "--config", "{config}"]),
+    "train-diffusion nan diffusion_lr": (2, [
+        "train-diffusion", "--checkpoint", "{scorer}", "--corpus", "{corpus}",
+        "--scores", "{scores}", "--config", "{nan_lr}"]),
+    "train-score inf lam": (2, [
+        "train-score", "--pairs", "{pairs}", "--config", "{inf_lam}"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_every_subcommand_fails_with_one_structured_line(tmp_path, capsys,
-                                                        pipeline, case):
+                                                        pipeline, broken, case):
     want, argv = CONTRACT_CASES[case]
     out = tmp_path / "out"
     ethucy = tmp_path / "eth.txt"
     ethucy.write_text("0 1 0.0 0.0\n10 1 0.4 0.0\n20 1 0.8 0.0\n")
-    argv = [a.format(missing=tmp_path / "missing", ethucy=ethucy,
-                     corpus=pipeline["corpus"], model=pipeline["model"])
-            for a in argv]
+    names = {**pipeline, **broken, "missing": tmp_path / "missing",
+             "ethucy": ethucy}
+    argv = [a.format_map(names) for a in argv]
     capsys.readouterr()
-    rc = main(argv + ["--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
+    # a warning would print its own stderr lines outside the test runner
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv + ["--out", str(out)])
+    err = (capsys.readouterr().err.splitlines()
+           + [f"{w.category.__name__}: {w.message}" for w in caught])
     assert rc == want, case
     assert len(err) == 1, err
     assert err[0].startswith(f"trajdiff: error code={rc} "), err

@@ -353,3 +353,7 @@ def test_validate_corpus_rejects_bad_data():
         data.validate_corpus(corpus)
     with pytest.raises(data.DataError, match="empty"):
         data.validate_corpus(data.Corpus([], {"n": 8, "m": 12, "dt": 0.4}))
+    corpus = data.generate_synthetic("t-intersection", 5, 0)
+    corpus.trajectories[3].id = 1
+    with pytest.raises(data.DataError, match="trajectory 1: repeated id"):
+        data.validate_corpus(corpus)

@@ -264,7 +264,7 @@ def test_train_rejects_missing_score(small_world):
     del partial[train.trajectories[0].id]
     sched = diffusion.make_schedule()
     cfg = Config(diffusion_epochs=1)
-    with pytest.raises(ValueError, match="missing score"):
+    with pytest.raises(data.DataError, match="missing score"):
         diffusion.train_diffusion(corpus, partial, enc, sched, cfg)
 
 

@@ -130,7 +130,7 @@ def test_constant_velocity_report_exact_on_linear_motion():
     hist = np.stack([np.array([0.4 * k, 0.0]) for k in range(8)])
     fut = np.stack([np.array([2.8 + 0.4 * (j + 1), 0.0]) for j in range(12)])
     t = data.Trajectory(id=1, history=hist, future=fut,
-                        neighbors=np.zeros((0, 8, 2)), dt=0.4)
+                        neighbors=np.zeros((0, 8, 2)))
     rep = evaluate.constant_velocity_report([t], 0.4)
     assert rep.min_ade < 1e-12 and rep.min_fde < 1e-12
 
