@@ -362,7 +362,7 @@ def softmax(a: Node) -> Node:
 
 # ---------------------------------------------------------------------------
 # activation kernels on plain arrays, shared with the graph-free forwards in
-# encoder, scoring and diffusion so both paths compute identical values
+# encoder and diffusion so both paths compute identical values
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
     # Exponentiate only non-positive arguments so large |x| cannot overflow.

@@ -143,6 +143,8 @@ def load_bundle(path):
         n_items = int(np.prod(dims)) if dims else 1
         payload = r.take(8 * n_items)
         arr = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: tensor '{name}' holds NaN or inf")
         weights[name] = ad.parameter(arr)
     if r.pos != len(blob):
         raise DataError(f"{path}: trailing bytes after checkpoint payload")

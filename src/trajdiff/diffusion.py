@@ -10,7 +10,7 @@ process from pure noise, steered by the requested score values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -288,31 +288,17 @@ def _relative_futures(trajs):
     return np.stack([t.future - t.history[-1] for t in trajs])
 
 
-def _frozen_features(trajs, enc_params):
-    # Every trained model was fitted on these bits: encode_batch on 2-D
-    # batches of 256 histories (another size rounds differently).  Constant
-    # weights make the autodiff ops record no graph.
-    frozen = replace(enc_params, weights={
-        k: ad.constant(w.value) for k, w in enc_params.weights.items()})
-    out = []
-    for lo in range(0, len(trajs), 256):
-        part = trajs[lo:lo + 256]
-        hists = np.stack([t.history for t in part])
-        nbrs = [t.neighbors for t in part]
-        out.append(enc_mod.encode_batch(hists, nbrs, frozen).value)
-    return np.concatenate(out, axis=0)
-
-
 def train_diffusion(corpus, scores, enc_params, schedule, config,
                     use_all_data=False):
     """Train the denoiser on (history feature, score)-conditioned futures.
 
     `scores` maps trajectory id to that trajectory's constraint score(s),
     as produced by a trained preference scorer over the corpus.  The
-    encoder stays frozen.  Futures are ego-relative and divided by a
-    corpus-wide scale stored on the returned params.  The id-hash test
-    split is held out unless use_all_data is set.  Returns (params,
-    report with per-epoch mean loss).
+    encoder stays frozen; the conditions use the same
+    :func:`encoder.encode_many` features as sampling.  Futures are
+    ego-relative and divided by a corpus-wide scale stored on the returned
+    params.  The id-hash test split is held out unless use_all_data is
+    set.  Returns (params, report with per-epoch mean loss).
     """
     trajs = corpus.trajectories
     if not use_all_data:
@@ -336,7 +322,8 @@ def train_diffusion(corpus, scores, enc_params, schedule, config,
     denoiser.scale = float(rel.std())
     y0 = rel / denoiser.scale
 
-    feats = _frozen_features(trajs, enc_params)
+    feats = enc_mod.encode_many(np.stack([t.history for t in trajs]),
+                                [t.neighbors for t in trajs], enc_params)
     conds = np.concatenate([feats, score_arr], axis=1)
 
     opt = ad.Adam(denoiser.weights, lr=config.diffusion_lr)

@@ -174,23 +174,27 @@ def ablation_sweep(trajs, enc_params, schedule, den_params,
 # ---------------------------------------------------------------------------
 # adherence to the conditioning value
 
-def _sample_features(histories, neighbors_list, enc_params, schedule,
-                     den_params, cond_scores, n_s, rng, mode, dt):
-    """Sample n_s futures per history at fixed score(s); return feature rows.
+def _cell_means(histories, neighbors_list, enc_params, schedule, den_params,
+                cells, n_s, mode, dt):
+    """Mean (speed, signed turn) of the samples of each conditioning cell.
 
-    cond_scores is an (n_scores,) vector applied to every history.
-    Returns arrays (mean_speed, signed_turn) over all histories x draws.
+    The histories are encoded once.  Each cell is a (seed key, score vector)
+    pair; its n_s futures per history come from one reverse chain whose
+    noise is drawn by a generator seeded with that key.  Returns two arrays
+    with one entry per cell.
     """
     hists = np.stack(histories)
     feats = enc_mod.encode_many(hists, list(neighbors_list), enc_params)
-    futures = diffusion.sample_batch(feats, cond_scores, n_s, hists[:, -1],
-                                     schedule, den_params, [rng], mode)
     speeds, turns = [], []
-    for hist, draws in zip(histories, futures[:, 0]):
-        for fut in draws:
-            f = data_mod.trajectory_features(fut, hist, dt)
-            speeds.append(f.mean_speed)
-            turns.append(f.signed_turn)
+    for key, scores in cells:
+        rng = np.random.default_rng(np.random.SeedSequence(key))
+        futures = diffusion.sample_batch(feats, scores, n_s, hists[:, -1],
+                                         schedule, den_params, [rng], mode)
+        samples = [data_mod.trajectory_features(fut, hist, dt)
+                   for hist, draws in zip(histories, futures[:, 0])
+                   for fut in draws]
+        speeds.append(np.mean([f.mean_speed for f in samples]))
+        turns.append(np.mean([f.signed_turn for f in samples]))
     return np.array(speeds), np.array(turns)
 
 
@@ -215,16 +219,12 @@ def adherence_curve(histories, neighbors_list, enc_params, schedule,
         raise ValueError("adherence_curve: need grid_size >= 2")
     feature, direction = _KIND_FEATURE[kind]
     grid = (np.arange(grid_size) + 0.5) / grid_size
-    means = []
-    for gi, c in enumerate(grid):
-        scores = np.full(den_params.n_scores, fixed)
-        scores[axis] = c
-        rng = np.random.default_rng(np.random.SeedSequence((seed, gi)))
-        speeds, turns = _sample_features(
-            histories, neighbors_list, enc_params, schedule, den_params,
-            scores, n_s, rng, mode, dt)
-        means.append((speeds if feature == "mean_speed" else turns).mean())
-    means = np.array(means)
+    scores = np.full((grid_size, den_params.n_scores), fixed)
+    scores[:, axis] = grid
+    speeds, turns = _cell_means(
+        histories, neighbors_list, enc_params, schedule, den_params,
+        [((seed, gi), row) for gi, row in enumerate(scores)], n_s, mode, dt)
+    means = speeds if feature == "mean_speed" else turns
     rho = spearman(grid, means)
     steps = np.diff(means) * direction
     mono = float((steps > 0).mean())
@@ -253,19 +253,13 @@ def multi_constraint_grid(histories, neighbors_list, enc_params, schedule,
     if n < 2:
         raise ValueError("multi_constraint_grid: need n >= 2")
     grid = (np.arange(n) + 0.5) / n
-    cell_turn = np.empty((n, n))
-    cell_speed = np.empty((n, n))
-    cells = []
-    for i, c1 in enumerate(grid):
-        for j, c2 in enumerate(grid):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, i, j)))
-            speeds, turns = _sample_features(
-                histories, neighbors_list, enc_params, schedule, den_params,
-                np.array([c1, c2]), n_s, rng, mode, dt)
-            cell_turn[i, j] = turns.mean()
-            cell_speed[i, j] = speeds.mean()
-            cells.append(((float(c1), float(c2)),
-                          float(cell_turn[i, j]), float(cell_speed[i, j])))
+    ij = [(i, j) for i in range(n) for j in range(n)]
+    speeds, turns = _cell_means(
+        histories, neighbors_list, enc_params, schedule, den_params,
+        [((seed, i, j), grid[[i, j]]) for i, j in ij], n_s, mode, dt)
+    cells = [((float(grid[i]), float(grid[j])), float(turn), float(speed))
+             for (i, j), turn, speed in zip(ij, turns, speeds)]
+    cell_turn, cell_speed = turns.reshape(n, n), speeds.reshape(n, n)
     rho = np.zeros((2, 2))
     effect = np.zeros((2, 2))
     for fi, cell in enumerate((cell_turn, cell_speed)):

@@ -10,7 +10,7 @@ bonus that discourages the score distribution from collapsing onto a point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def _mlp(x, params):
                                  params.weights[f"score.b{i}"]))
     out = ad.add(ad.matmul(h, params.weights[f"score.w{depth}"]),
                  params.weights[f"score.b{depth}"])
-    return ad.sigmoid(out)        # (B, 1), image in (0,1)
+    return ad.sigmoid(out)        # (..., 1), image in (0,1)
 
 
 def _check_futures(rel_futures, params):
@@ -75,29 +75,25 @@ def score_many(feats, rel_futures, params):
     """Scores (B,) for B (feature, ego-relative future) pairs on plain arrays.
 
     Each pair runs as its own (1, K) row on a leading axis, so every score
-    equals bit for bit the one :func:`score` gives for that pair alone.
+    equals bit for bit the one :func:`score` gives for that pair alone.  The
+    weights enter as constants, so the ops record no graph.
     """
     feats = np.asarray(feats, dtype=float)
     flat = _check_futures(rel_futures, params)
     if feats.shape != (flat.shape[0], params.feature_dim):
         raise ad.ShapeError(f"score: features shape {feats.shape}, "
                             f"expected ({flat.shape[0]}, {params.feature_dim})")
-    h = np.concatenate([feats, flat], axis=1)[:, None, :]
-    w = params.weights
-    depth = len(params.hidden)
-    for i in range(depth):
-        h = h @ w[f"score.w{i}"].value
-        h += w[f"score.b{i}"].value
-        ad.leaky_relu_values(h, out=h)
-    out = h @ w[f"score.w{depth}"].value
-    out += w[f"score.b{depth}"].value
-    return ad.sigmoid_values(out)[:, 0, 0]
+    frozen = replace(params, weights={
+        k: ad.constant(w.value) for k, w in params.weights.items()})
+    rows = ad.constant(np.concatenate([feats, flat], axis=1)[:, None, :])
+    return _mlp(rows, frozen).value[:, 0, 0]
 
 
 def score(f, future, params):
     """Score one (feature, ego-relative future) pair; deterministic scalar.
 
-    Runs the MLP on plain arrays, bit-identical to :func:`score_features`.
+    Runs :func:`score_many` on one row, bit-identical to
+    :func:`score_features`.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (params.feature_dim,):

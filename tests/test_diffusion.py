@@ -278,6 +278,35 @@ def test_train_infers_score_width_and_scale(small_world):
     assert p.scale > 0.0 and report["scale"] == p.scale
 
 
+def test_train_conditions_are_the_inference_features(small_world,
+                                                     monkeypatch):
+    # each batch of one epoch conditions on [encode_many feature, score] of
+    # the rows the epoch's permutation picks, bit for bit
+    corpus, enc, scores = small_world
+    trajs = data.split_corpus(corpus)[0].trajectories
+    want = np.concatenate([
+        encoder.encode_many(np.stack([t.history for t in trajs]),
+                            [t.neighbors for t in trajs], enc),
+        np.array([[scores[t.id]] for t in trajs])], axis=1)
+    seen = []
+    forward = diffusion.denoise_batch
+
+    def spy(y_t, cond, ts, params):
+        seen.append(np.array(cond))
+        return forward(y_t, cond, ts, params)
+
+    monkeypatch.setattr(diffusion, "denoise_batch", spy)
+    cfg = Config(diffusion_epochs=1, seed=4)
+    diffusion.train_diffusion(corpus, scores, enc, diffusion.make_schedule(),
+                              cfg)
+    perm = np.random.default_rng(cfg.seed).permutation(len(trajs))
+    batches = [perm[lo:lo + cfg.diffusion_batch]
+               for lo in range(0, len(trajs), cfg.diffusion_batch)]
+    assert len(seen) == len(batches)
+    for cond, idx in zip(seen, batches):
+        assert np.array_equal(cond, want[idx])
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -47,6 +47,32 @@ def test_translation_invariance(params):
     assert np.array_equal(f1, f2)
 
 
+def _dyadic_scenes(rng, counts):
+    # coordinates on a 1/16 m grid within +-64 m, so every offset the
+    # encoder forms from them is exact and translations change no bit
+    def track():
+        return rng.integers(-1024, 1024, size=(8, 2)) / 16.0
+    return (np.stack([track() for _ in counts]),
+            [[track() for _ in range(k)] for k in counts])
+
+
+def test_encode_batch_invariances_on_random_scenes(params):
+    # the training path: translation and neighbour order change no bit
+    rng = np.random.default_rng(7)
+    counts = (3, 0, 2, 1, 4, 2)
+    hists, nbrs = _dyadic_scenes(rng, counts)
+    ref = encoder.encode_batch(hists, nbrs, params).value
+    shifts = rng.integers(-64, 64, size=(len(counts), 1, 2)).astype(float)
+    moved = encoder.encode_batch(
+        hists + shifts, [[q + s[0] for q in qs] for qs, s in zip(nbrs, shifts)],
+        params).value
+    shuffled = encoder.encode_batch(
+        hists, [[qs[k] for k in rng.permutation(len(qs))] for qs in nbrs],
+        params).value
+    assert np.array_equal(moved, ref)
+    assert np.array_equal(shuffled, ref)
+
+
 def test_mean_aggregation_over_neighbors(params):
     hist = _dyadic_history()
     qa, qb = _dyadic_neighbor(1.0, 2.0), _dyadic_neighbor(-2.0, 0.5)

@@ -195,18 +195,3 @@ def test_score_many_keeps_shape_checks(enc):
         scoring.score_many(np.zeros((2, enc.feature_dim)),
                            np.zeros((2, 7, 2)), scorer)
 
-
-def test_frozen_features_match_autodiff_chunk_by_chunk():
-    # training conditions come from the 2-D autodiff forward in chunks of
-    # 256 histories; 260 histories make a full chunk and a partial one
-    enc = _random_encoder(60)
-    rng = np.random.default_rng(61)
-    trajs = [data.Trajectory(id=i, history=_track(rng), future=_track(rng, 12),
-                             neighbors=[_track(rng) for _ in range(i % 3)])
-             for i in range(260)]
-    got = diffusion._frozen_features(trajs, enc)
-    for lo in (0, 256):
-        part = trajs[lo:lo + 256]
-        ref = encoder.encode_batch(np.stack([t.history for t in part]),
-                                   [t.neighbors for t in part], enc).value
-        assert np.array_equal(got[lo:lo + 256], ref)
